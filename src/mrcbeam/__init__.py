@@ -15,8 +15,7 @@ from .channel import (ChannelRealization, MultipathComponent, channel_from_json,
                       channel_to_json, per_antenna_response, remove_component,
                       sample_channel)
 from .geometry import (AntennaArray, Direction, FieldOfView, broadside,
-                       element_phase, make_ula, phase_matrix, sample_direction,
-                       steering_vector)
+                       make_ula, phase_matrix, steering_vector)
 from .montecarlo import (ExperimentConfig, SweepResult, band_average_gain,
                          run_blockage_experiment, run_effectiveness_sweep,
                          run_snr_sweep, trial_rng)
@@ -36,12 +35,12 @@ __all__ = [
     "broadside", "channel_from_json", "channel_to_json",
     "classify_effectiveness", "combined_response", "component_array_factor",
     "conditional_ineffectiveness", "decompose", "effective_count",
-    "element_phase", "estimate_array_parameter", "harmonic_number",
+    "estimate_array_parameter", "harmonic_number",
     "ineffectiveness_probability", "interference_term", "make_ula",
     "mrc_weights", "noise_power", "pair_gain_matrix", "pattern_gain_db",
     "per_antenna_response", "phase_matrix", "remove_component",
     "run_blockage_experiment", "run_effectiveness_sweep", "run_snr_sweep",
-    "sample_channel", "sample_direction", "single_direction_weights",
+    "sample_channel", "single_direction_weights",
     "snr_mrc_theory", "snr_ratio_theory", "snr_single_theory",
     "steering_vector", "strongest_component", "to_db", "trial_rng",
 ]

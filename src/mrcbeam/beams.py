@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, per_antenna_response
+from .channel import ChannelRealization, per_antenna_response, tone_sum
 from .geometry import AntennaArray, Direction, phase_matrix, steering_vector
 
 
@@ -75,7 +75,7 @@ class EffectivenessReport:
 
     @property
     def fraction_ineffective(self) -> float:
-        return 1.0 - self.n_effective / self.effective.size
+        return (self.effective.size - self.n_effective) / self.effective.size
 
 
 def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> BeamWeights:
@@ -95,23 +95,17 @@ def strongest_component(channel: ChannelRealization) -> int:
     return int(np.argmax(np.abs(channel.amplitudes())))
 
 
-def array_factor(weights: BeamWeights, array: AntennaArray, r: Direction) -> complex:
-    """Complex gain of the weighted array toward probe direction ``r``."""
+def _check_length(weights: BeamWeights, array: AntennaArray) -> None:
     if weights.coefficients.size != array.n_elements:
         raise ValueError(
             f"weight length {weights.coefficients.size} does not match "
             f"{array.n_elements} elements")
+
+
+def array_factor(weights: BeamWeights, array: AntennaArray, r: Direction) -> complex:
+    """Complex gain of the weighted array toward probe direction ``r``."""
+    _check_length(weights, array)
     return complex(weights.coefficients @ steering_vector(array, r))
-
-
-def component_array_factor(array: AntennaArray, k_m: Direction, r: Direction) -> complex:
-    """Normalized sub-beam gain: (1/N) sum_n e^{-j phase_{n,k_m}} e^{j phase_{n,r}}.
-
-    Has unit modulus maximum, attained exactly at r = k_m.
-    """
-    s_m = steering_vector(array, k_m)
-    s_r = steering_vector(array, r)
-    return complex(np.conj(s_m) @ s_r / array.n_elements)
 
 
 def pair_gain_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
@@ -123,15 +117,27 @@ def pair_gain_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarra
     return s.conj().T @ s / array.n_elements
 
 
+def component_array_factor(array: AntennaArray, k_m: Direction, r: Direction) -> complex:
+    """Normalized sub-beam gain: (1/N) sum_n e^{-j phase_{n,k_m}} e^{j phase_{n,r}}.
+
+    Has unit modulus maximum, attained exactly at r = k_m.
+    """
+    return complex(pair_gain_matrix(array, np.array([k_m.vector, r.vector]))[0, 1])
+
+
 def decompose(channel: ChannelRealization, array: AntennaArray, r: Direction) -> Decomposition:
     """Split the combining beam's array factor at ``r`` into per-path terms."""
-    alphas = channel.amplitudes()
-    terms = tuple(
-        DecompositionTerm(m, complex(np.conj(alphas[m])),
-                          component_array_factor(array, channel.components[m].direction, r))
-        for m in range(channel.m_paths)
-    )
+    g = pair_gain_matrix(array, np.vstack([channel.direction_matrix(), r.vector]))
+    conj_a = np.conj(channel.amplitudes())
+    terms = tuple(DecompositionTerm(m, complex(conj_a[m]), complex(g[m, -1]))
+                  for m in range(channel.m_paths))
     return Decomposition(terms, r)
+
+
+def _cross_beam(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
+    """`interference_term` of every path at once: conj(a) @ G - conj(a)."""
+    conj_a = np.conj(channel.amplitudes())
+    return conj_a @ pair_gain_matrix(array, channel.direction_matrix()) - conj_a
 
 
 def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) -> complex:
@@ -141,17 +147,13 @@ def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) 
     """
     if not 0 <= h < channel.m_paths:
         raise ValueError(f"component index {h} out of range for M={channel.m_paths}")
-    g = pair_gain_matrix(array, channel.direction_matrix())
-    conj_a = np.conj(channel.amplitudes())
-    return complex(conj_a @ g[:, h] - conj_a[h])
+    return complex(_cross_beam(channel, array)[h])
 
 
 def classify_effectiveness(channel: ChannelRealization, array: AntennaArray) -> EffectivenessReport:
     """Flag every path as effective or not under the combining beam."""
-    g = pair_gain_matrix(array, channel.direction_matrix())
-    conj_a = np.conj(channel.amplitudes())
-    interference = np.abs(conj_a @ g - conj_a)     # diagonal of g is 1
-    amplitudes = np.abs(conj_a)
+    amplitudes = np.abs(channel.amplitudes())
+    interference = np.abs(_cross_beam(channel, array))
     return EffectivenessReport(amplitudes, interference, amplitudes >= interference)
 
 
@@ -163,16 +165,11 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
     which is algebraically identical. Scalar ``f`` returns a complex
     scalar, a 1-D array returns one value per frequency.
     """
-    if weights.coefficients.size != array.n_elements:
-        raise ValueError(
-            f"weight length {weights.coefficients.size} does not match "
-            f"{array.n_elements} elements")
+    _check_length(weights, array)
     phases = phase_matrix(array, channel.direction_matrix())
     tone = (weights.coefficients @ np.exp(1j * phases)) * channel.amplitudes()  # (M,)
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 0:
-        return complex(tone @ np.exp(-2j * np.pi * float(f) * channel.delays()))
-    return tone @ np.exp(-2j * np.pi * np.outer(channel.delays(), f))
+    out = tone_sum(tone, channel.delays(), f)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def noise_power(weights: BeamWeights, sigma0: float) -> float:

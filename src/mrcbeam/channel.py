@@ -7,11 +7,14 @@ offsets from the band center; the combining weights are designed at f = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import AntennaArray, Direction, FieldOfView, phase_matrix
+
+_JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,8 @@ def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
     """
     if m_paths < 1:
         raise ValueError(f"m_paths must be >= 1, got {m_paths}")
-    if not delay_max > 0:
-        raise ValueError(f"delay_max must be positive, got {delay_max}")
+    if not 0 < delay_max < math.inf:
+        raise ValueError(f"delay_max must be positive and finite, got {delay_max}")
     thetas = fov.sample_angles(rng, m_paths)
     alphas = (rng.standard_normal(m_paths) + 1j * rng.standard_normal(m_paths)) / np.sqrt(2.0)
     delays = rng.uniform(0.0, delay_max, m_paths)
@@ -86,11 +89,19 @@ def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) ->
     frequencies (returns shape (N, F)).
     """
     phases = phase_matrix(array, channel.direction_matrix())   # (N, M)
-    gains = np.exp(1j * phases) * channel.amplitudes()
+    return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel.delays(), f)
+
+
+def tone_sum(gains: np.ndarray, delays: np.ndarray, f):
+    """Sum of delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
+
+    ``f`` may be a scalar, which drops the frequency axis, or a 1-D array
+    of F frequencies, which appends one of length F.
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim == 0:
-        return gains @ np.exp(-2j * np.pi * float(f) * channel.delays())
-    return gains @ np.exp(-2j * np.pi * np.outer(channel.delays(), f))
+        return gains @ np.exp(-2j * np.pi * float(f) * delays)
+    return gains @ np.exp(-2j * np.pi * np.outer(delays, f))
 
 
 def remove_component(channel: ChannelRealization, index: int) -> ChannelRealization:
@@ -120,14 +131,28 @@ def channel_to_json(channel: ChannelRealization) -> dict:
     return {"components": comps}
 
 
-def channel_from_json(record: dict) -> ChannelRealization:
-    """Inverse of `channel_to_json`."""
-    comps = tuple(
-        MultipathComponent(
-            complex(entry["re"], entry["im"]),
-            Direction.from_vector([entry["kx"], entry["ky"], entry["kz"]]),
-            entry["delay_ns"] * 1e-9,
-        )
-        for entry in record["components"]
-    )
-    return ChannelRealization(comps)
+def channel_from_json(record) -> ChannelRealization:
+    """Inverse of `channel_to_json`; raises ValueError on any schema error."""
+    entries = record.get("components") if isinstance(record, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("channel JSON must be an object with a 'components' list")
+    comps = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"channel component {i} must be an object")
+        re, im, kx, ky, kz, delay_ns = (_finite_field(entry, key, i) for key in _JSON_FIELDS)
+        comps.append(MultipathComponent(complex(re, im), Direction.from_vector([kx, ky, kz]),
+                                        delay_ns * 1e-9))
+    return ChannelRealization(tuple(comps))
+
+
+def _finite_field(entry: dict, key: str, i: int):
+    value = entry.get(key)
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"channel component {i}: {key!r} must be a finite number, "
+                         f"got {value!r}")
+    return value

@@ -22,17 +22,18 @@ from .montecarlo import (ExperimentConfig, run_blockage_experiment,
 from .theory import estimate_array_parameter
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--trials", type=int, default=1000,
-                        help="Monte Carlo trials for experiment commands (default 1000)")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="output file (default: standard output)")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (default csv)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel worker processes; results are identical "
-                             "for any worker count (default 1)")
 
 
 def _add_array(parser: argparse.ArgumentParser) -> None:
@@ -40,11 +41,22 @@ def _add_array(parser: argparse.ArgumentParser) -> None:
                         help="number of array elements (default 8)")
     parser.add_argument("--spacing", type=float, default=0.5,
                         help="element spacing in wavelengths (default 0.5)")
+
+
+def _add_fov(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fov-deg", type=float, default=180.0,
                         help="total field of view in degrees (default 180)")
 
 
-def _add_channel(parser: argparse.ArgumentParser) -> None:
+def _add_experiment(parser: argparse.ArgumentParser) -> None:
+    """Flags every Monte Carlo experiment command honours."""
+    _add_seed(parser); _add_output(parser); _add_format(parser)
+    parser.add_argument("--trials", type=int, default=1000,
+                        help="Monte Carlo trials per path count (default 1000)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel worker processes; results are identical "
+                             "for any worker count (default 1)")
+    _add_array(parser); _add_fov(parser)
     parser.add_argument("--delay-max-ns", type=float, default=100.0,
                         help="maximum path delay in ns (default 100)")
     parser.add_argument("--bandwidth", default="1GHz",
@@ -76,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo estimate of the array parameter: the expected "
                     "squared sub-beam gain between two random arrival directions. "
                     "CSV columns: n_elements, fov_deg, s, stderr, samples.")
-    _add_common(p); _add_array(p)
+    _add_seed(p); _add_output(p); _add_format(p); _add_array(p); _add_fov(p)
     p.add_argument("--samples", type=int, default=100_000,
                    help="number of direction pairs (default 100000)")
 
@@ -87,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulated probability that a path's amplitude falls below "
                     "the aggregate cross-beam interference at its direction. "
                     "CSV columns: m, theory, empirical, stderr.")
-    _add_common(p); _add_array(p); _add_channel(p); _add_m_sweep(p, 15)
+    _add_experiment(p); _add_m_sweep(p, 15)
 
     p = sub.add_parser(
         "effective-components",
@@ -95,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Same sweep as 'ineffectiveness', reported as the count of "
                     "effective paths per trial. CSV columns: m, theory, "
                     "empirical, stderr.")
-    _add_common(p); _add_array(p); _add_channel(p); _add_m_sweep(p, 15)
+    _add_experiment(p); _add_m_sweep(p, 15)
 
     p = sub.add_parser(
         "snr-sweep",
@@ -104,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "of a single beam steered at the strongest path, next to "
                     "their closed-form predictions. CSV columns: m, "
                     "mrc_theory_db, mrc_sim_db, single_theory_db, single_sim_db.")
-    _add_common(p); _add_array(p); _add_channel(p); _add_m_sweep(p, 20)
+    _add_experiment(p); _add_m_sweep(p, 20)
 
     p = sub.add_parser(
         "blockage-cdf",
@@ -113,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "path, and records the SNR of the unchanged beams on what "
                     "remains. CSV columns: beam_kind, snr_db (one row per trial, "
                     "sorted per beam kind).")
-    _add_common(p); _add_array(p); _add_channel(p)
+    _add_experiment(p)
     p.add_argument("--m-paths", type=int, default=20,
                    help="number of paths before the blockage (default 20)")
 
@@ -123,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Loads a channel JSON file, builds the combining beam for "
                     "the configured array, and exports |gain|^2 in dB over "
                     "broadside-plane angles. CSV columns: theta_deg, gain_db.")
-    _add_common(p); _add_array(p)
+    _add_output(p); _add_format(p); _add_array(p)
     p.add_argument("--channel-file", required=True, metavar="PATH",
                    help="channel JSON file, e.g. from dump-channel")
     p.add_argument("--grid-deg", type=float, default=0.5,
@@ -135,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Samples a channel realization and writes the JSON record "
                     "{components: [{re, im, kx, ky, kz, delay_ns}]} consumed by "
                     "beam-pattern.")
-    _add_common(p); _add_array(p)
+    _add_seed(p); _add_output(p); _add_fov(p)
     p.add_argument("--m-paths", type=int, default=4,
                    help="number of multipath components (default 4)")
     p.add_argument("--delay-max-ns", type=float, default=100.0,
@@ -164,9 +176,9 @@ def _experiment_config(args, m_values) -> ExperimentConfig:
     )
 
 
-def _emit(args, command, cfg, results_json, header, rows) -> None:
+def _emit(args, command, config, results_json, header, rows) -> None:
     if args.format == "json":
-        output.write_json(output.json_payload(command, cfg, results_json), args.output)
+        output.write_json(output.json_payload(command, config, results_json), args.output)
     else:
         output.write_csv(header, rows, args.output)
 
@@ -175,26 +187,18 @@ def _cmd_array_param(args) -> None:
     array = make_ula(args.elements, args.spacing)
     fov = FieldOfView.from_degrees(args.fov_deg)
     est = estimate_array_parameter(array, fov, args.samples, trial_rng(args.seed, ()))
-    if args.format == "json":
-        cfg_dict = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,
-                    "fov_deg": args.fov_deg, "samples": args.samples, "seed": args.seed}
-        payload = {
-            "command": "array-param",
-            "config": cfg_dict,
-            "results": {"s": est.s, "stderr": est.stderr, "samples": est.samples},
-            "run": output.run_metadata("array-param", cfg_dict),
-        }
-        output.write_json(payload, args.output)
-    else:
-        output.write_csv(["n_elements", "fov_deg", "s", "stderr", "samples"],
-                         [(args.elements, args.fov_deg, est.s, est.stderr, est.samples)],
-                         args.output)
+    config = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,
+              "fov_deg": args.fov_deg, "samples": args.samples, "seed": args.seed}
+    _emit(args, "array-param", config,
+          {"s": est.s, "stderr": est.stderr, "samples": est.samples},
+          ["n_elements", "fov_deg", "s", "stderr", "samples"],
+          [(args.elements, args.fov_deg, est.s, est.stderr, est.samples)])
 
 
 def _cmd_effectiveness(args, quantity: str) -> None:
     cfg = _experiment_config(args, range(args.m_min, args.m_max + 1))
     result = run_effectiveness_sweep(cfg)
-    _emit(args, quantity, cfg, output.sweep_columns_json(result),
+    _emit(args, quantity, output.config_dict(cfg), output.sweep_columns_json(result),
           ["m", "theory", "empirical", "stderr"],
           output.effectiveness_rows(result, quantity))
 
@@ -202,7 +206,7 @@ def _cmd_effectiveness(args, quantity: str) -> None:
 def _cmd_snr_sweep(args) -> None:
     cfg = _experiment_config(args, range(args.m_min, args.m_max + 1))
     result = run_snr_sweep(cfg)
-    _emit(args, "snr-sweep", cfg, output.sweep_columns_json(result),
+    _emit(args, "snr-sweep", output.config_dict(cfg), output.sweep_columns_json(result),
           ["m", "mrc_theory_db", "mrc_sim_db", "single_theory_db", "single_sim_db"],
           output.snr_rows(result))
 
@@ -210,8 +214,9 @@ def _cmd_snr_sweep(args) -> None:
 def _cmd_blockage(args) -> None:
     cfg = _experiment_config(args, (args.m_paths,))
     result = run_blockage_experiment(cfg)
-    _emit(args, "blockage-cdf", cfg, output.sweep_columns_json(result),
-          ["beam_kind", "snr_db"], output.blockage_rows(result))
+    _emit(args, "blockage-cdf", output.config_dict(cfg),
+          output.sweep_columns_json(result), ["beam_kind", "snr_db"],
+          output.blockage_rows(result))
 
 
 def _cmd_beam_pattern(args) -> None:
@@ -224,19 +229,11 @@ def _cmd_beam_pattern(args) -> None:
     thetas = np.arange(-90.0, 90.0 + args.grid_deg / 2, args.grid_deg)
     gains = pattern_gain_db(weights, array, thetas)
     rows = list(zip((float(t) for t in thetas), (float(g) for g in gains)))
-    if args.format == "json":
-        cfg_dict = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,
-                    "channel_file": args.channel_file, "grid_deg": args.grid_deg}
-        payload = {
-            "command": "beam-pattern",
-            "config": cfg_dict,
-            "results": {"theta_deg": [r[0] for r in rows],
-                        "gain_db": [r[1] for r in rows]},
-            "run": output.run_metadata("beam-pattern", cfg_dict),
-        }
-        output.write_json(payload, args.output)
-    else:
-        output.write_csv(["theta_deg", "gain_db"], rows, args.output)
+    config = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,
+              "channel_file": args.channel_file, "grid_deg": args.grid_deg}
+    _emit(args, "beam-pattern", config,
+          {"theta_deg": [r[0] for r in rows], "gain_db": [r[1] for r in rows]},
+          ["theta_deg", "gain_db"], rows)
 
 
 def _cmd_dump_channel(args) -> None:

@@ -132,17 +132,6 @@ def make_ula(n_elements: int, spacing_wavelengths: float) -> AntennaArray:
     return AntennaArray(pos)
 
 
-def element_phase(array: AntennaArray, n: int, k: Direction) -> float:
-    """Phase (radians) of a plane wave from direction ``k`` at element ``n``.
-
-    Equals 2*pi times the projection of the element position onto the
-    propagation direction, with phase zero at the origin.
-    """
-    if not 0 <= n < array.n_elements:
-        raise ValueError(f"element index {n} out of range for {array.n_elements} elements")
-    return float(2.0 * np.pi * np.dot(array.positions[n], k.vector))
-
-
 def phase_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
     """Plane-wave phases for a batch of unit vectors.
 
@@ -161,9 +150,3 @@ def phase_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
 def steering_vector(array: AntennaArray, k: Direction) -> np.ndarray:
     """Per-element phasors e^{j phase} for a plane wave from ``k``; length N."""
     return np.exp(1j * 2.0 * np.pi * (array.positions @ k.vector))
-
-
-def sample_direction(fov: FieldOfView, rng: np.random.Generator) -> Direction:
-    """Draw one arrival direction, uniform in angle within the field of view."""
-    theta = rng.uniform(-fov.half_angle, fov.half_angle)
-    return fov.direction_at(theta)

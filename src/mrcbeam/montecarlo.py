@@ -9,13 +9,16 @@ aggregation always runs in trial order.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import (BeamWeights, combined_response, mrc_weights, noise_power,
-                    pair_gain_matrix, single_direction_weights, strongest_component)
+# pair_gain_matrix stays importable here: perfbench/tracing.py wraps it.
+from .beams import (BeamWeights, classify_effectiveness, combined_response,
+                    mrc_weights, noise_power, pair_gain_matrix,
+                    single_direction_weights, strongest_component)
 from .channel import ChannelRealization, remove_component, sample_channel
 from .geometry import AntennaArray, FieldOfView, make_ula
 from .theory import (effective_count, estimate_array_parameter,
@@ -52,8 +55,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.freq_points < 2:
             raise ValueError("freq_points must be >= 2")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth_hz < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
+        if not 0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -119,80 +124,68 @@ def band_average_gain(weights: BeamWeights, channel: ChannelRealization,
     return float(np.mean(np.abs(response) ** 2))
 
 
-def _effectiveness_block(cfg: ExperimentConfig, block) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (ineffective fraction, effective count) for one trial range."""
-    m, lo, hi = block
-    array, fov = cfg.array(), cfg.fov()
-    fracs = np.empty(hi - lo)
-    counts = np.empty(hi - lo)
-    for t in range(lo, hi):
-        rng = trial_rng(cfg.seed, (m, t))
-        channel = sample_channel(m, fov, cfg.delay_max_s, rng)
-        g = pair_gain_matrix(array, channel.direction_matrix())
-        conj_a = np.conj(channel.amplitudes())
-        interference = np.abs(conj_a @ g - conj_a)
-        ineffective = np.abs(conj_a) < interference
-        fracs[t - lo] = ineffective.mean()
-        counts[t - lo] = m - ineffective.sum()
-    return fracs, counts
+def _trial_block(trial, cfg: ExperimentConfig, block) -> np.ndarray:
+    """Results of ``trial`` for one trial range, one row of two per trial.
 
-
-def _snr_block(cfg: ExperimentConfig, block) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial linear SNR (combining beam, single beam) for one trial range."""
-    m, lo, hi = block
-    array, fov = cfg.array(), cfg.fov()
-    mrc_lin = np.empty(hi - lo)
-    single_lin = np.empty(hi - lo)
-    for t in range(lo, hi):
-        rng = trial_rng(cfg.seed, (m, t))
-        channel = sample_channel(m, fov, cfg.delay_max_s, rng)
-        w_mrc = mrc_weights(channel, array)
-        w_single = single_direction_weights(
-            array, channel.components[strongest_component(channel)].direction)
-        for w, out in ((w_mrc, mrc_lin), (w_single, single_lin)):
-            gain = band_average_gain(w, channel, array, cfg.bandwidth_hz, cfg.freq_points)
-            out[t - lo] = gain / noise_power(w, cfg.sigma0)
-    return mrc_lin, single_lin
-
-
-def _blockage_block(cfg: ExperimentConfig, block) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial post-blockage SNR in dB (combining beam, single beam).
-
-    Beams are designed on the full channel, then one uniformly chosen
-    component is removed and the unchanged beams are applied to the rest.
-    The blocked index is drawn after the channel, from the same stream.
+    Each trial draws its channel from its own stream, then hands the
+    channel and the rest of that stream to ``trial``.
     """
     m, lo, hi = block
     array, fov = cfg.array(), cfg.fov()
-    mrc_db = np.empty(hi - lo)
-    single_db = np.empty(hi - lo)
+    out = np.empty((hi - lo, 2))
     for t in range(lo, hi):
         rng = trial_rng(cfg.seed, (m, t))
-        channel = sample_channel(m, fov, cfg.delay_max_s, rng)
-        w_mrc = mrc_weights(channel, array)
-        w_single = single_direction_weights(
-            array, channel.components[strongest_component(channel)].direction)
-        blocked = remove_component(channel, int(rng.integers(m)))
-        for w, out in ((w_mrc, mrc_db), (w_single, single_db)):
-            gain = band_average_gain(w, blocked, array, cfg.bandwidth_hz, cfg.freq_points)
-            out[t - lo] = to_db(gain / noise_power(w, cfg.sigma0))
-    return mrc_db, single_db
+        out[t - lo] = trial(cfg, array, sample_channel(m, fov, cfg.delay_max_s, rng), rng)
+    return out
 
 
-def _run_blocks(worker, cfg: ExperimentConfig, m_values) -> dict[int, list]:
-    """Evaluate fixed trial blocks for every m, serially or on a process pool."""
+def _effectiveness_trial(cfg, array, channel, rng) -> tuple[float, int]:
+    """(ineffective fraction, effective count) under the combining beam."""
+    report = classify_effectiveness(channel, array)
+    return report.fraction_ineffective, report.n_effective
+
+
+def _beam_snrs(cfg, array, design: ChannelRealization,
+               channel: ChannelRealization) -> list[float]:
+    """Linear band-averaged SNR of the combining and the single beam, both
+    designed on ``design`` and applied to ``channel``."""
+    strongest = design.components[strongest_component(design)].direction
+    return [band_average_gain(w, channel, array, cfg.bandwidth_hz, cfg.freq_points)
+            / noise_power(w, cfg.sigma0)
+            for w in (mrc_weights(design, array), single_direction_weights(array, strongest))]
+
+
+def _snr_trial(cfg, array, channel, rng) -> list[float]:
+    return _beam_snrs(cfg, array, channel, channel)
+
+
+def _blockage_trial(cfg, array, channel, rng) -> list[float]:
+    """Post-blockage SNR in dB of beams designed on the full channel.
+
+    One uniformly chosen component is removed, its index drawn after the
+    channel from the same stream, and the unchanged beams are applied to
+    the rest.
+    """
+    blocked = remove_component(channel, int(rng.integers(channel.m_paths)))
+    return [to_db(snr) for snr in _beam_snrs(cfg, array, channel, blocked)]
+
+
+def _run_trials(trial, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
+    """(trials, 2) results of ``trial`` for every m, in trial order.
+
+    Trials run in fixed blocks, serially or on a process pool; the blocks
+    are put back together in trial order either way.
+    """
     blocks = [(m, lo, min(lo + _TRIAL_BLOCK, cfg.trials))
               for m in m_values for lo in range(0, cfg.trials, _TRIAL_BLOCK)]
-    fn = functools.partial(worker, cfg)
+    fn = functools.partial(_trial_block, trial, cfg)
     if cfg.workers == 1:
         outputs = [fn(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outputs = list(pool.map(fn, blocks))
-    grouped: dict[int, list] = {m: [] for m in m_values}
-    for block, out in zip(blocks, outputs):
-        grouped[block[0]].append(out)
-    return grouped
+    return {m: np.concatenate([out for b, out in zip(blocks, outputs) if b[0] == m])
+            for m in m_values}
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -209,13 +202,12 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
     columns use an array parameter estimated from the configured seed.
     """
     s = _array_parameter(cfg).s
-    grouped = _run_blocks(_effectiveness_block, cfg, cfg.m_values)
+    results = _run_trials(_effectiveness_trial, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr",
         "count_theory", "count_mean", "count_stderr", "count_median")}
     for m in cfg.m_values:
-        fracs = np.concatenate([out[0] for out in grouped[m]])
-        counts = np.concatenate([out[1] for out in grouped[m]])
+        fracs, counts = results[m].T
         p_mean, p_err = _mean_stderr(fracs)
         c_mean, c_err = _mean_stderr(counts)
         cols["p_ineff_theory"].append(ineffectiveness_probability(m, s))
@@ -236,13 +228,12 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     to dB; averaging per-trial dB values would bias the result low.
     """
     s = _array_parameter(cfg).s
-    grouped = _run_blocks(_snr_block, cfg, cfg.m_values)
+    results = _run_trials(_snr_trial, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
         "single_theory_db", "single_sim_db", "single_sim_stderr_db")}
     for m in cfg.m_values:
-        mrc_lin = np.concatenate([out[0] for out in grouped[m]])
-        single_lin = np.concatenate([out[1] for out in grouped[m]])
+        mrc_lin, single_lin = results[m].T
         for prefix, lin, theory in (
                 ("mrc", mrc_lin, snr_mrc_theory(cfg.n_elements, m, s, cfg.sigma0)),
                 ("single", single_lin, snr_single_theory(cfg.n_elements, m, s, cfg.sigma0))):
@@ -267,19 +258,11 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     m = cfg.m_values[0]
     if m < 2:
         raise ValueError("blockage experiment needs at least two paths")
-    grouped = _run_blocks(_blockage_block, cfg, (m,))
-    mrc_db = np.concatenate([out[0] for out in grouped[m]])
-    single_db = np.concatenate([out[1] for out in grouped[m]])
-    mrc_mean, mrc_err = _mean_stderr(mrc_db)
-    single_mean, single_err = _mean_stderr(single_db)
-    cols = {
-        "mrc_mean_db": (mrc_mean,), "mrc_stderr_db": (mrc_err,),
-        "single_mean_db": (single_mean,), "single_stderr_db": (single_err,),
-    }
-    samples = {
-        "mrc": tuple(float(x) for x in np.sort(mrc_db)),
-        "single": tuple(float(x) for x in np.sort(single_db)),
-    }
+    cols, samples = {}, {}
+    for kind, snr_db in zip(("mrc", "single"), _run_trials(_blockage_trial, cfg, (m,))[m].T):
+        mean, err = _mean_stderr(snr_db)
+        cols[f"{kind}_mean_db"], cols[f"{kind}_stderr_db"] = (mean,), (err,)
+        samples[kind] = tuple(float(x) for x in np.sort(snr_db))
     return SweepResult((m,), cfg.trials, cols, samples)
 
 

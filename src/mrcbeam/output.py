@@ -67,21 +67,26 @@ def run_metadata(command: str, cfg_dict: dict) -> dict:
     return {"version": __version__, "config_digest": digest}
 
 
-def json_payload(command: str, cfg: ExperimentConfig, results: dict) -> dict:
-    """Standard JSON envelope: echoed config, results, run metadata.
+def config_dict(cfg: ExperimentConfig) -> dict:
+    """The experiment definition as echoed in JSON output.
 
     The worker count is an execution knob, not part of the experiment
     definition, so it is left out of the echo and the digest; output
     bytes must not depend on it.
     """
-    cfg_dict = asdict(cfg)
-    cfg_dict.pop("workers")
-    cfg_dict["m_values"] = list(cfg_dict["m_values"])
+    config = asdict(cfg)
+    config.pop("workers")
+    config["m_values"] = list(config["m_values"])
+    return config
+
+
+def json_payload(command: str, config: dict, results: dict) -> dict:
+    """Standard JSON envelope: echoed config, results, run metadata."""
     return {
         "command": command,
-        "config": cfg_dict,
+        "config": config,
         "results": results,
-        "run": run_metadata(command, cfg_dict),
+        "run": run_metadata(command, config),
     }
 
 

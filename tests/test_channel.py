@@ -21,6 +21,8 @@ class TestSampling:
             sample_channel(0, fov, 100e-9, rng)
         with pytest.raises(ValueError):
             sample_channel(3, fov, 0.0, rng)
+        with pytest.raises(ValueError):
+            sample_channel(3, fov, float("inf"), rng)
 
     def test_amplitude_moments(self):
         # one big draw stands in for many single-path channels

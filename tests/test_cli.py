@@ -36,6 +36,24 @@ class TestParseArgs:
             parse_args(["beam-pattern"])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("argv", [
+        ["array-param", "--trials", "5"],
+        ["array-param", "--workers", "2"],
+        ["beam-pattern", "--channel-file", "ch.json", "--seed", "1"],
+        ["beam-pattern", "--channel-file", "ch.json", "--trials", "5"],
+        ["beam-pattern", "--channel-file", "ch.json", "--workers", "2"],
+        ["beam-pattern", "--channel-file", "ch.json", "--fov-deg", "120"],
+        ["dump-channel", "--trials", "5"],
+        ["dump-channel", "--workers", "2"],
+        ["dump-channel", "--format", "json"],
+        ["dump-channel", "--elements", "8"],
+        ["dump-channel", "--spacing", "0.5"],
+    ])
+    def test_flag_the_command_ignores_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code != 0
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit) as exc:
             parse_args([])
@@ -162,6 +180,46 @@ class TestCommands:
         code = main(["ineffectiveness", "--elements", "2", "--m-min", "5",
                      "--m-max", "2", "--trials", "5"])
         assert code == 1
+
+
+_GOOD_COMPONENT = {"re": 1.0, "im": 0.0, "kx": 0.0, "ky": 1.0, "kz": 0.0, "delay_ns": 5.0}
+
+
+def _fails_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mrcbeam: error: ")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("flags", [
+        ["--sigma0", "0"], ["--bandwidth", "1e400"], ["--delay-max-ns", "1e400"],
+    ])
+    def test_bad_experiment_config(self, flags, capsys):
+        _fails_with_one_error_line(["snr-sweep", "--elements", "2", "--m-max", "2",
+                                    "--trials", "3", "--freq-points", "8", *flags], capsys)
+
+    @pytest.mark.parametrize("record", [
+        [1],                                                   # top level not an object
+        {},                                                    # no components
+        {"components": {"re": 1.0}},                           # components not a list
+        {"components": [1.0]},                                 # component not an object
+        {"components": [dict(_GOOD_COMPONENT, re="1.0")]},     # non-numeric field
+        {"components": [dict(_GOOD_COMPONENT, re=True)]},      # boolean field
+        {"components": [dict(_GOOD_COMPONENT, re=float("nan"))]},
+        {"components": [dict(_GOOD_COMPONENT, delay_ns=float("inf"))]},
+        {"components": [{k: v for k, v in _GOOD_COMPONENT.items() if k != "kz"}]},
+    ])
+    def test_bad_channel_json(self, record, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(record))
+        _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
+
+    def test_control_component_is_accepted(self, tmp_path):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"components": [_GOOD_COMPONENT]}))
+        assert main(["beam-pattern", "--channel-file", str(path),
+                     "--output", str(tmp_path / "p.csv")]) == 0
 
 
 class TestDeterministicOutput:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mrcbeam import (AntennaArray, Direction, FieldOfView, broadside,
-                     element_phase, make_ula, sample_direction, steering_vector)
+from mrcbeam import (AntennaArray, Direction, FieldOfView, broadside, make_ula,
+                     phase_matrix, steering_vector)
 
 
 class TestDirection:
@@ -50,39 +50,35 @@ class TestMakeUla:
 
 
 class TestElementPhase:
+    """Per-element plane-wave phases, as computed by `phase_matrix`."""
+
     def test_origin_element_is_zero(self):
         arr = make_ula(4, 0.5)
-        for k in (Direction.from_broadside_angle(0.3), broadside()):
-            assert element_phase(arr, 0, k) == 0.0
+        phases = phase_matrix(arr, np.array([Direction.from_broadside_angle(0.3).vector,
+                                             broadside().vector]))
+        assert phases.shape == (4, 2)
+        np.testing.assert_array_equal(phases[0], [0.0, 0.0])
 
     def test_half_wavelength_endfire(self):
         arr = make_ula(2, 0.5)
-        assert element_phase(arr, 1, Direction(np.array([1.0, 0, 0]))) == pytest.approx(np.pi)
+        assert phase_matrix(arr, np.array([[1.0, 0, 0]]))[1, 0] == pytest.approx(np.pi)
 
     def test_matches_dot_product_oracle_over_angle_grid(self):
         # oracle: 2*pi*n*d*sin(theta) for a ULA probed in the broadside plane
         d = 0.5
         arr = make_ula(6, d)
-        for theta in np.linspace(-np.pi / 2, np.pi / 2, 41):
-            k = Direction.from_broadside_angle(theta)
-            for n in range(6):
-                expected = 2 * np.pi * n * d * np.sin(theta)
-                assert element_phase(arr, n, k) == pytest.approx(expected, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        arr = make_ula(3, 0.5)
-        for n in (-1, 3):
-            with pytest.raises(ValueError):
-                element_phase(arr, n, broadside())
+        thetas = np.linspace(-np.pi / 2, np.pi / 2, 41)
+        vecs = np.array([Direction.from_broadside_angle(t).vector for t in thetas])
+        expected = 2 * np.pi * d * np.outer(np.arange(6), np.sin(thetas))
+        np.testing.assert_allclose(phase_matrix(arr, vecs), expected, rtol=0, atol=1e-12)
 
     def test_phase_differences_translation_invariant(self):
         rng = np.random.default_rng(7)
         arr = AntennaArray(rng.normal(size=(5, 3)))
         shifted = AntennaArray(arr.positions + rng.normal(size=3))
-        k = Direction.from_vector(rng.normal(size=3))
-        base = np.array([element_phase(arr, n, k) for n in range(5)])
-        moved = np.array([element_phase(shifted, n, k) for n in range(5)])
-        np.testing.assert_allclose(np.diff(base), np.diff(moved), atol=1e-12)
+        vecs = np.array([Direction.from_vector(rng.normal(size=3)).vector for _ in range(4)])
+        np.testing.assert_allclose(np.diff(phase_matrix(arr, vecs), axis=0),
+                                   np.diff(phase_matrix(shifted, vecs), axis=0), atol=1e-12)
 
 
 class TestSteeringVector:
@@ -124,18 +120,17 @@ class TestFieldOfView:
 
 
 class TestSampleDirection:
+    """Direction draws: `FieldOfView.direction_at` of `FieldOfView.sample_angles`."""
+
     def test_zero_half_angle_gives_boresight(self):
         fov = FieldOfView(0.0)
-        d = sample_direction(fov, np.random.default_rng(0))
-        np.testing.assert_allclose(d.vector, broadside().vector, atol=1e-15)
+        vecs = fov.direction_at(fov.sample_angles(np.random.default_rng(0), 5))
+        np.testing.assert_allclose(vecs, np.tile(broadside().vector, (5, 1)), atol=1e-15)
 
     def test_support_bound_60deg(self):
         fov = FieldOfView(np.pi / 3)
-        rng = np.random.default_rng(1)
-        cos_min = np.cos(np.pi / 3)
-        for _ in range(2000):
-            d = sample_direction(fov, rng)
-            assert np.dot(d.vector, fov.boresight.vector) >= cos_min - 1e-12
+        vecs = fov.direction_at(fov.sample_angles(np.random.default_rng(1), 2000))
+        assert np.all(vecs @ fov.boresight.vector >= np.cos(np.pi / 3) - 1e-12)
 
     def test_mean_angle_consistent_with_uniform_law(self):
         fov = FieldOfView(np.pi / 2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,12 @@ class TestConfig:
         dict(n_elements=8, m_values=(2,), trials=0),
         dict(n_elements=8, m_values=(2,), freq_points=1),
         dict(n_elements=8, m_values=(2,), bandwidth_hz=0.0),
+        dict(n_elements=8, m_values=(2,), bandwidth_hz=float("inf")),
+        dict(n_elements=8, m_values=(2,), bandwidth_hz=float("nan")),
+        dict(n_elements=8, m_values=(2,), sigma0=0.0),
+        dict(n_elements=8, m_values=(2,), sigma0=-1.0),
+        dict(n_elements=8, m_values=(2,), sigma0=float("inf")),
+        dict(n_elements=8, m_values=(2,), sigma0=float("nan")),
         dict(n_elements=8, m_values=(2,), workers=0),
     ])
     def test_validation(self, kwargs):
@@ -260,6 +268,10 @@ class TestDeterminism:
         a = run_effectiveness_sweep(base)
         b = run_effectiveness_sweep(parallel)
         assert a.columns == b.columns
+        snr = ExperimentConfig(n_elements=4, m_values=(2, 3), trials=300, seed=12,
+                               freq_points=64)
+        assert (run_snr_sweep(snr).columns
+                == run_snr_sweep(dataclasses.replace(snr, workers=2)).columns)
         c = run_blockage_experiment(
             ExperimentConfig(n_elements=4, m_values=(4,), trials=600, seed=12,
                              freq_points=64))
