@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaArray, Direction, FieldOfView, phase_matrix
+from .geometry import _UNIT_TOL, AntennaArray, Direction, FieldOfView, phase_matrix
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 
@@ -30,31 +30,77 @@ class MultipathComponent:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
 
 
-@dataclass(frozen=True)
 class ChannelRealization:
-    """Ordered collection of multipath components; index order is stable."""
+    """M plane waves held as three read-only arrays; index order is stable.
 
-    components: tuple[MultipathComponent, ...]
+    ``amplitudes()`` is (M,) complex, ``direction_matrix()`` (M, 3) unit
+    arrival vectors and ``delays()`` (M,) seconds. Build one with
+    `from_arrays`, or from a sequence of `MultipathComponent`; both go
+    through the same validation.
+    """
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) < 1:
+    __slots__ = ("_amplitudes", "_vectors", "_delays")
+
+    def __init__(self, components):
+        comps = tuple(components)
+        self._store(np.array([c.alpha for c in comps], dtype=complex),
+                    np.array([c.direction.vector for c in comps], dtype=float).reshape(-1, 3),
+                    np.array([c.delay for c in comps], dtype=float))
+
+    @classmethod
+    def from_arrays(cls, amplitudes, vectors, delays) -> "ChannelRealization":
+        """Channel from (M,) complex amplitudes, (M, 3) unit vectors and (M,) delays.
+
+        The arrays are copied, so later writes to the arguments do not
+        reach the channel.
+        """
+        channel = cls.__new__(cls)
+        channel._store(np.array(amplitudes, dtype=complex), np.array(vectors, dtype=float),
+                       np.array(delays, dtype=float))
+        return channel
+
+    def _store(self, amplitudes: np.ndarray, vectors: np.ndarray, delays: np.ndarray) -> None:
+        """Validate freshly copied arrays, freeze them and keep them."""
+        if (amplitudes.ndim != 1 or vectors.shape != (amplitudes.size, 3)
+                or delays.shape != amplitudes.shape):
+            raise ValueError(f"expected (M,) amplitudes, (M, 3) vectors and (M,) delays, got "
+                             f"{amplitudes.shape}, {vectors.shape} and {delays.shape}")
+        if amplitudes.size < 1:
             raise ValueError("a channel needs at least one component")
-        object.__setattr__(self, "components", comps)
+        if not np.isfinite(amplitudes).all():
+            raise ValueError("amplitudes must be finite")
+        norms = np.linalg.norm(vectors, axis=1)
+        if not (np.abs(norms - 1.0) <= _UNIT_TOL).all():   # also rejects NaN and inf
+            raise ValueError(f"directions must be finite unit vectors, got norms {norms}")
+        if not delays.min() >= 0.0:                         # also rejects NaN
+            raise ValueError(f"delays must be >= 0, got {delays}")
+        for arr in (amplitudes, vectors, delays):
+            arr.setflags(write=False)
+        self._amplitudes, self._vectors, self._delays = amplitudes, vectors, delays
+
+    def __reduce__(self):
+        # pickling and copying rebuild through the same validation
+        return type(self).from_arrays, (self._amplitudes, self._vectors, self._delays)
 
     @property
     def m_paths(self) -> int:
-        return len(self.components)
+        return self._amplitudes.size
+
+    @property
+    def components(self) -> tuple[MultipathComponent, ...]:
+        """Per-path view, built anew on every access."""
+        return tuple(MultipathComponent(complex(a), Direction(v), float(d))
+                     for a, v, d in zip(self._amplitudes, self._vectors, self._delays))
 
     def amplitudes(self) -> np.ndarray:
-        return np.array([c.alpha for c in self.components], dtype=complex)
+        return self._amplitudes
 
     def direction_matrix(self) -> np.ndarray:
         """(M, 3) matrix of unit arrival vectors, in component order."""
-        return np.array([c.direction.vector for c in self.components])
+        return self._vectors
 
     def delays(self) -> np.ndarray:
-        return np.array([c.delay for c in self.components])
+        return self._delays
 
 
 def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
@@ -73,12 +119,7 @@ def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
     thetas = fov.sample_angles(rng, m_paths)
     alphas = (rng.standard_normal(m_paths) + 1j * rng.standard_normal(m_paths)) / np.sqrt(2.0)
     delays = rng.uniform(0.0, delay_max, m_paths)
-    vecs = fov.direction_at(thetas)
-    comps = tuple(
-        MultipathComponent(complex(alphas[m]), Direction(vecs[m]), float(delays[m]))
-        for m in range(m_paths)
-    )
-    return ChannelRealization(comps)
+    return ChannelRealization.from_arrays(alphas, fov.direction_at(thetas), delays)
 
 
 def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) -> np.ndarray:
@@ -114,21 +155,19 @@ def remove_component(channel: ChannelRealization, index: int) -> ChannelRealizat
         raise ValueError("cannot remove a component from a single-path channel")
     if not 0 <= index < channel.m_paths:
         raise ValueError(f"component index {index} out of range for M={channel.m_paths}")
-    kept = channel.components[:index] + channel.components[index + 1:]
-    return ChannelRealization(kept)
+    kept = np.arange(channel.m_paths) != index
+    return ChannelRealization.from_arrays(channel.amplitudes()[kept],
+                                          channel.direction_matrix()[kept],
+                                          channel.delays()[kept])
 
 
 def channel_to_json(channel: ChannelRealization) -> dict:
     """JSON-serializable record: {components: [{re, im, kx, ky, kz, delay_ns}]}."""
-    comps = []
-    for c in channel.components:
-        kx, ky, kz = (float(x) for x in c.direction.vector)
-        comps.append({
-            "re": float(c.alpha.real), "im": float(c.alpha.imag),
-            "kx": kx, "ky": ky, "kz": kz,
-            "delay_ns": float(c.delay * 1e9),
-        })
-    return {"components": comps}
+    return {"components": [
+        {"re": float(a.real), "im": float(a.imag),
+         "kx": float(kx), "ky": float(ky), "kz": float(kz), "delay_ns": float(d * 1e9)}
+        for a, (kx, ky, kz), d in zip(channel.amplitudes(), channel.direction_matrix(),
+                                      channel.delays())]}
 
 
 def channel_from_json(record) -> ChannelRealization:

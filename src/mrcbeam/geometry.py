@@ -30,6 +30,11 @@ class Direction:
             raise ValueError(f"direction must have unit norm, got {np.linalg.norm(vec)}")
         object.__setattr__(self, "vector", vec)
 
+    def __eq__(self, other):
+        if not isinstance(other, Direction):
+            return NotImplemented
+        return np.array_equal(self.vector, other.vector)
+
     @classmethod
     def from_vector(cls, vec) -> "Direction":
         """Normalize an arbitrary nonzero 3-vector into a Direction."""

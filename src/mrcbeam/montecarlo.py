@@ -20,7 +20,7 @@ from .beams import (BeamWeights, classify_effectiveness, combined_response,
                     mrc_weights, noise_power, pair_gain_matrix,
                     single_direction_weights, strongest_component)
 from .channel import ChannelRealization, remove_component, sample_channel
-from .geometry import AntennaArray, FieldOfView, make_ula
+from .geometry import AntennaArray, Direction, FieldOfView, make_ula
 from .theory import (effective_count, estimate_array_parameter,
                      ineffectiveness_probability, snr_mrc_theory,
                      snr_single_theory, to_db)
@@ -149,7 +149,7 @@ def _beam_snrs(cfg, array, design: ChannelRealization,
                channel: ChannelRealization) -> list[float]:
     """Linear band-averaged SNR of the combining and the single beam, both
     designed on ``design`` and applied to ``channel``."""
-    strongest = design.components[strongest_component(design)].direction
+    strongest = Direction(design.direction_matrix()[strongest_component(design)])
     return [band_average_gain(w, channel, array, cfg.bandwidth_hz, cfg.freq_points)
             / noise_power(w, cfg.sigma0)
             for w in (mrc_weights(design, array), single_direction_weights(array, strongest))]

@@ -1,11 +1,15 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from mrcbeam import (ChannelRealization, Direction, FieldOfView,
+import mrcbeam.channel
+from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfView,
                      MultipathComponent, channel_from_json, channel_to_json,
                      make_ula, per_antenna_response, remove_component,
+                     run_blockage_experiment, run_effectiveness_sweep, run_snr_sweep,
                      sample_channel)
 
 
@@ -42,11 +46,99 @@ class TestSampling:
         d = ch.delays()
         assert d.min() >= 0.0 and d.max() <= 100e-9
 
+    def test_draw_order_directions_amplitudes_delays(self):
+        fov = FieldOfView.from_degrees(120)
+        rng = np.random.default_rng(11)
+        ch = sample_channel(5, fov, 80e-9, rng)
+        direct = np.random.default_rng(11)
+        thetas = fov.sample_angles(direct, 5)
+        alphas = (direct.standard_normal(5) + 1j * direct.standard_normal(5)) / np.sqrt(2.0)
+        delays = direct.uniform(0.0, 80e-9, 5)
+        assert ch.direction_matrix().tobytes() == fov.direction_at(thetas).tobytes()
+        assert ch.amplitudes().tobytes() == alphas.tobytes()
+        assert ch.delays().tobytes() == delays.tobytes()
+        assert rng.bit_generator.state == direct.bit_generator.state
+
     def test_directions_inside_fov(self):
         fov = FieldOfView.from_degrees(120)
         ch = sample_channel(5000, fov, 1e-9, np.random.default_rng(2))
         cosines = ch.direction_matrix() @ fov.boresight.vector
         assert cosines.min() >= np.cos(fov.half_angle) - 1e-12
+
+
+class TestFromArrays:
+    _A = np.array([1.0 + 0.5j, -0.3j])
+    _V = np.array([[0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])
+    _D = np.array([0.0, 20e-9])
+
+    @pytest.mark.parametrize("amplitudes,vectors,delays", [
+        (np.empty(0), np.empty((0, 3)), np.empty(0)),
+        (_A, _V[:1], _D),
+        (_A, _V[:, :2], _D),
+        (_A, _V, _D[:1]),
+        (_A[:, None], _V, _D),
+        (_A, [[0.0, 1.0, 0.0], [np.nan, 1.0, 0.0]], _D),
+        (_A, [[0.0, 1.0, 0.0], [0.6, 0.8, 1e-5]], _D),
+        (_A, _V, [0.0, -1e-12]),
+        (_A, _V, [0.0, np.nan]),
+        ([1.0, np.inf], _V, _D),
+        ([1.0, complex(0.0, np.nan)], _V, _D),
+    ], ids=["no-paths", "too-few-vectors", "two-column-vectors", "too-few-delays",
+            "2d-amplitudes", "nan-vector", "non-unit-vector", "negative-delay", "nan-delay",
+            "inf-amplitude", "nan-amplitude"])
+    def test_rejects_invalid_arrays(self, amplitudes, vectors, delays):
+        with pytest.raises(ValueError):
+            ChannelRealization.from_arrays(amplitudes, vectors, delays)
+
+    def test_components_path_rejects_non_finite_amplitude(self):
+        d = Direction.from_broadside_angle(0.2)
+        with pytest.raises(ValueError):
+            ChannelRealization((MultipathComponent(complex("nan"), d, 0.0),))
+        with pytest.raises(ValueError):
+            ChannelRealization(())
+
+    def test_arrays_are_read_only_copies(self):
+        amplitudes, vectors, delays = self._A.copy(), self._V.copy(), self._D.copy()
+        built = ChannelRealization.from_arrays(amplitudes, vectors, delays)
+        amplitudes[0] = vectors[0, 0] = delays[0] = 7.0
+        assert built.amplitudes()[0] == self._A[0] and built.delays()[0] == 0.0
+        assert built.direction_matrix()[0, 0] == 0.0
+        sampled = sample_channel(3, FieldOfView.from_degrees(180), 1e-9,
+                                 np.random.default_rng(0))
+        for ch in (built, sampled, ChannelRealization(sampled.components),
+                   remove_component(sampled, 1), copy.deepcopy(sampled),
+                   pickle.loads(pickle.dumps(sampled))):
+            for arr in (ch.amplitudes(), ch.direction_matrix(), ch.delays()):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_components_round_trip_is_bit_identical(self):
+        ch = sample_channel(6, FieldOfView.from_degrees(180), 100e-9,
+                            np.random.default_rng(8))
+        again = ChannelRealization(ch.components)
+        for get in ("amplitudes", "direction_matrix", "delays"):
+            a, b = getattr(ch, get)(), getattr(again, get)()
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_component_equality_by_value(self):
+        assert _component(1.0 + 1j, 0.3, 5e-9) == _component(1.0 + 1j, 0.3, 5e-9)
+        assert _component(1.0 + 1j, 0.3, 5e-9) != _component(1.0 + 1j, 0.4, 5e-9)
+        assert _component(1.0 + 1j, 0.3, 5e-9) != _component(1.0, 0.3, 5e-9)
+        assert _component(1.0 + 1j, 0.3, 5e-9) != _component(1.0 + 1j, 0.3, 6e-9)
+
+
+def test_trial_loop_builds_no_per_path_objects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-path MultipathComponent was built")
+
+    monkeypatch.setattr(mrcbeam.channel, "MultipathComponent", forbidden)
+    with pytest.raises(AssertionError):
+        sample_channel(2, FieldOfView.from_degrees(180), 1e-9,
+                       np.random.default_rng(0)).components
+    cfg = ExperimentConfig(n_elements=4, m_values=(3,), trials=3, freq_points=8, seed=2)
+    run_effectiveness_sweep(cfg)
+    run_snr_sweep(cfg)
+    run_blockage_experiment(cfg)
 
 
 class TestResponse:

@@ -22,6 +22,13 @@ class TestDirection:
         d = Direction.from_broadside_angle(np.pi / 6)
         np.testing.assert_allclose(d.vector, [0.5, np.sqrt(3) / 2, 0.0], atol=1e-15)
 
+    def test_equality_by_value(self):
+        d = Direction.from_broadside_angle(0.1)
+        assert d == Direction.from_broadside_angle(0.1)
+        assert d != Direction.from_broadside_angle(0.2)
+        assert d.__eq__(tuple(d.vector)) is NotImplemented
+        assert d != tuple(d.vector) and d != "broadside"
+
 
 class TestMakeUla:
     def test_single_element_at_origin(self):
