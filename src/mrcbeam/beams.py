@@ -168,7 +168,7 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
     _check_length(weights, array)
     phases = phase_matrix(array, channel.direction_matrix())
     tone = (weights.coefficients @ np.exp(1j * phases)) * channel.amplitudes()  # (M,)
-    out = tone_sum(tone, channel.delays(), f)
+    out = tone_sum(tone, channel, f)
     return complex(out) if np.ndim(out) == 0 else out
 
 

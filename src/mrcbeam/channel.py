@@ -39,7 +39,7 @@ class ChannelRealization:
     through the same validation.
     """
 
-    __slots__ = ("_amplitudes", "_vectors", "_delays")
+    __slots__ = ("_amplitudes", "_vectors", "_delays", "_tone_key", "_tones")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -74,9 +74,14 @@ class ChannelRealization:
             raise ValueError(f"directions must be finite unit vectors, got norms {norms}")
         if not delays.min() >= 0.0:                         # also rejects NaN
             raise ValueError(f"delays must be >= 0, got {delays}")
+        self._keep(amplitudes, vectors, delays)
+
+    def _keep(self, amplitudes: np.ndarray, vectors: np.ndarray, delays: np.ndarray) -> None:
+        """Freeze and keep valid arrays that no one else holds; no tones cached yet."""
         for arr in (amplitudes, vectors, delays):
             arr.setflags(write=False)
         self._amplitudes, self._vectors, self._delays = amplitudes, vectors, delays
+        self._tone_key = self._tones = None
 
     def __reduce__(self):
         # pickling and copying rebuild through the same validation
@@ -101,6 +106,21 @@ class ChannelRealization:
 
     def delays(self) -> np.ndarray:
         return self._delays
+
+    def tone_matrix(self, f) -> np.ndarray:
+        """Read-only (M, F) delay tones e^{-j 2 pi f tau_m} over the 1-D grid ``f``.
+
+        The matrix for the last grid asked for is kept, keyed on the grid's
+        bytes, so a hit returns exactly what a recompute would, signed
+        zeros included.
+        """
+        f = np.asarray(f, dtype=float)
+        key = f.tobytes()
+        if key != self._tone_key:
+            tones = np.exp(-2j * np.pi * np.outer(self._delays, f))
+            tones.setflags(write=False)
+            self._tone_key, self._tones = key, tones
+        return self._tones
 
 
 def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
@@ -130,19 +150,20 @@ def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) ->
     frequencies (returns shape (N, F)).
     """
     phases = phase_matrix(array, channel.direction_matrix())   # (N, M)
-    return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel.delays(), f)
+    return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel, f)
 
 
-def tone_sum(gains: np.ndarray, delays: np.ndarray, f):
-    """Sum of delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
+def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
+    """Sum of the channel's delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
 
     ``f`` may be a scalar, which drops the frequency axis, or a 1-D array
-    of F frequencies, which appends one of length F.
+    of F frequencies, which appends one of length F and reuses the
+    channel's tone matrix for that grid.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim == 0:
-        return gains @ np.exp(-2j * np.pi * float(f) * delays)
-    return gains @ np.exp(-2j * np.pi * np.outer(delays, f))
+        return gains @ np.exp(-2j * np.pi * float(f) * channel.delays())
+    return gains @ channel.tone_matrix(f)
 
 
 def remove_component(channel: ChannelRealization, index: int) -> ChannelRealization:
@@ -156,9 +177,11 @@ def remove_component(channel: ChannelRealization, index: int) -> ChannelRealizat
     if not 0 <= index < channel.m_paths:
         raise ValueError(f"component index {index} out of range for M={channel.m_paths}")
     kept = np.arange(channel.m_paths) != index
-    return ChannelRealization.from_arrays(channel.amplitudes()[kept],
-                                          channel.direction_matrix()[kept],
-                                          channel.delays()[kept])
+    blocked = ChannelRealization.__new__(ChannelRealization)
+    # masked copies of a validated channel's arrays are valid: no re-check
+    blocked._keep(channel.amplitudes()[kept], channel.direction_matrix()[kept],
+                  channel.delays()[kept])
+    return blocked
 
 
 def channel_to_json(channel: ChannelRealization) -> dict:

@@ -35,6 +35,10 @@ class Direction:
             return NotImplemented
         return np.array_equal(self.vector, other.vector)
 
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, so vectors equal under __eq__ hash equal
+        return hash((self.vector + 0.0).tobytes())
+
     @classmethod
     def from_vector(cls, vec) -> "Direction":
         """Normalize an arbitrary nonzero 3-vector into a Direction."""

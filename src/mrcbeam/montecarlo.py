@@ -173,16 +173,18 @@ def _blockage_trial(cfg, array, channel, rng) -> list[float]:
 def _run_trials(trial, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
     """(trials, 2) results of ``trial`` for every m, in trial order.
 
-    Trials run in fixed blocks, serially or on a process pool; the blocks
-    are put back together in trial order either way.
+    Trials run in fixed blocks, serially or on a process pool of at most
+    one worker per block; the blocks are put back together in trial order
+    either way.
     """
     blocks = [(m, lo, min(lo + _TRIAL_BLOCK, cfg.trials))
               for m in m_values for lo in range(0, cfg.trials, _TRIAL_BLOCK)]
     fn = functools.partial(_trial_block, trial, cfg)
-    if cfg.workers == 1:
+    workers = min(cfg.workers, len(blocks))
+    if workers == 1:
         outputs = [fn(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(fn, blocks))
     return {m: np.concatenate([out for b, out in zip(blocks, outputs) if b[0] == m])
             for m in m_values}

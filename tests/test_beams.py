@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,8 @@ from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
                      classify_effectiveness, combined_response,
                      component_array_factor, decompose, interference_term,
                      make_ula, mrc_weights, noise_power, per_antenna_response,
-                     remove_component, sample_channel, single_direction_weights,
-                     steering_vector, strongest_component)
+                     phase_matrix, remove_component, sample_channel,
+                     single_direction_weights, steering_vector, strongest_component)
 
 FOV180 = FieldOfView.from_degrees(180)
 
@@ -277,6 +280,49 @@ class TestCombinedResponse:
             got = combined_response(w, ch, arr, f)
             assert got == pytest.approx(alpha * np.exp(-2j * np.pi * f * tau), abs=1e-12)
             assert abs(got) == pytest.approx(abs(alpha), rel=1e-12)
+
+
+class TestCombinedResponseGrid:
+    _F = np.linspace(-5e8, 5e8, 33)
+
+    @staticmethod
+    def _direct(w, ch, arr, f):
+        """The response with the delay tones built directly from the grid."""
+        tone = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
+                * ch.amplitudes())
+        return tone @ np.exp(-2j * np.pi * np.outer(ch.delays(), f))
+
+    def test_both_beams_share_one_matrix_and_match_direct_tones(self):
+        arr = make_ula(8, 0.5)
+        ch = _random_channel(6, seed=22)
+        beams = (mrc_weights(ch, arr),
+                 single_direction_weights(arr, ch.components[strongest_component(ch)].direction))
+        first = combined_response(beams[0], ch, arr, self._F)
+        tones = ch.tone_matrix(self._F)
+        second = combined_response(beams[1], ch, arr, self._F.copy())
+        assert ch.tone_matrix(self._F) is tones
+        for w, got in zip(beams, (first, second)):
+            assert got.tobytes() == self._direct(w, ch, arr, self._F).tobytes()
+
+    def test_scalar_frequency_unchanged_and_keeps_grid_matrix(self):
+        arr = make_ula(4, 0.5)
+        ch = _random_channel(5, seed=23)
+        w = mrc_weights(ch, arr)
+        tones = ch.tone_matrix(self._F)
+        for f in (0.0, -0.0, 1.3e8):
+            tone = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
+                    * ch.amplitudes())
+            assert combined_response(w, ch, arr, f) == complex(
+                tone @ np.exp(-2j * np.pi * f * ch.delays()))
+        assert ch.tone_matrix(self._F) is tones
+
+    def test_copied_channel_gives_same_response(self):
+        arr = make_ula(4, 0.5)
+        ch = _random_channel(5, seed=24)
+        w = mrc_weights(ch, arr)
+        expected = combined_response(w, ch, arr, self._F).tobytes()
+        for other in (copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))):
+            assert combined_response(w, other, arr, self._F).tobytes() == expected
 
 
 class TestNoisePower:

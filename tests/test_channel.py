@@ -141,6 +141,48 @@ def test_trial_loop_builds_no_per_path_objects(monkeypatch):
     run_blockage_experiment(cfg)
 
 
+class TestToneMatrix:
+    _F = np.linspace(-5e8, 5e8, 9)
+
+    def _channel(self):
+        return sample_channel(4, FieldOfView.from_degrees(180), 100e-9,
+                              np.random.default_rng(30))
+
+    def test_equal_grid_reuses_read_only_matrix(self):
+        ch = self._channel()
+        tones = ch.tone_matrix(self._F)
+        assert ch.tone_matrix(self._F.copy()) is tones
+        assert tones.tobytes() == np.exp(-2j * np.pi * np.outer(ch.delays(), self._F)).tobytes()
+        with pytest.raises(ValueError):
+            tones[0, 0] = 0.0
+
+    @pytest.mark.parametrize("other", [np.linspace(-5e8, 5e8, 8), np.zeros(9)])
+    def test_other_grid_recomputes(self, other):
+        ch = self._channel()
+        first = ch.tone_matrix(self._F)
+        again = ch.tone_matrix(other)
+        assert again is not first
+        assert again.tobytes() == np.exp(-2j * np.pi * np.outer(ch.delays(), other)).tobytes()
+        assert ch.tone_matrix(self._F) is not first
+
+    def test_signed_zero_grid_recomputes(self):
+        ch = self._channel()
+        zero, negative_zero = np.zeros(3), -np.zeros(3)
+        first = ch.tone_matrix(zero)
+        assert ch.tone_matrix(negative_zero) is not first
+        assert ch.tone_matrix(negative_zero) is ch.tone_matrix(-np.zeros(3))
+
+    def test_copies_and_blocked_channel_start_afresh(self):
+        ch = self._channel()
+        tones = ch.tone_matrix(self._F)
+        for other in (copy.deepcopy(ch), pickle.loads(pickle.dumps(ch)),
+                      remove_component(ch, 0)):
+            again = other.tone_matrix(self._F)
+            assert again is not tones
+            assert again.tobytes() == np.exp(
+                -2j * np.pi * np.outer(other.delays(), self._F)).tobytes()
+
+
 class TestResponse:
     def test_single_path_center_frequency(self):
         ch = ChannelRealization((_component(0.7 - 0.2j, 0.4, 55e-9),))
@@ -228,6 +270,26 @@ class TestRemoveComponent:
         ch2 = ChannelRealization((_component(1.0), _component(2.0)))
         with pytest.raises(ValueError):
             remove_component(ch2, 2)
+        with pytest.raises(ValueError):
+            remove_component(ch2, -1)
+
+    def test_equals_from_arrays_build_without_revalidating(self, monkeypatch):
+        ch = sample_channel(5, FieldOfView.from_degrees(180), 100e-9,
+                            np.random.default_rng(6))
+        kept = np.arange(5) != 3
+        expected = ChannelRealization.from_arrays(ch.amplitudes()[kept],
+                                                  ch.direction_matrix()[kept],
+                                                  ch.delays()[kept])
+
+        def forbidden(*args):
+            raise AssertionError("a subset of a valid channel was validated again")
+
+        monkeypatch.setattr(ChannelRealization, "_store", forbidden)
+        blocked = remove_component(ch, 3)
+        for get in ("amplitudes", "direction_matrix", "delays"):
+            a, b = getattr(blocked, get)(), getattr(expected, get)()
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 class TestJsonSchema:

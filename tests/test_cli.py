@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import mrcbeam.montecarlo
 from mrcbeam import channel_from_json
 from mrcbeam.cli import main, parse_args
 from mrcbeam.output import parse_frequency, write_csv
@@ -241,3 +242,35 @@ class TestDeterministicOutput:
                          "--output", str(path)]) == 0
             files[workers] = path.read_bytes()
         assert files[1] == files[4]
+
+    def test_pool_skipped_for_one_block_and_capped_at_block_count(self, tmp_path,
+                                                                  monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Runs in process and records the pool size it was asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def run(trials, workers):
+            path = tmp_path / f"t{trials}-w{workers}.csv"
+            assert main(["blockage-cdf", "--elements", "2", "--m-paths", "3",
+                         "--trials", str(trials), "--freq-points", "16", "--seed", "4",
+                         "--workers", str(workers), "--output", str(path)]) == 0
+            return path.read_bytes()
+
+        monkeypatch.setattr(mrcbeam.montecarlo, "ProcessPoolExecutor", SerialPool)
+        assert run(200, 4) == run(200, 1)       # one block of 256 trials
+        assert sizes == []
+        assert run(300, 16) == run(300, 1)      # two blocks
+        assert sizes == [2]

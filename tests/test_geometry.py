@@ -29,6 +29,16 @@ class TestDirection:
         assert d.__eq__(tuple(d.vector)) is NotImplemented
         assert d != tuple(d.vector) and d != "broadside"
 
+    def test_hash_matches_equality(self):
+        d = Direction.from_broadside_angle(0.1)
+        assert hash(d) == hash(Direction.from_broadside_angle(0.1))
+        zero, negative_zero = Direction([0.0, 1.0, 0.0]), Direction([-0.0, 1.0, 0.0])
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert len({d, Direction.from_broadside_angle(0.1), zero, negative_zero}) == 2
+        fov = FieldOfView.from_degrees(120)
+        assert hash(fov) == hash(FieldOfView.from_degrees(120))
+        assert {fov: 1}[FieldOfView.from_degrees(120)] == 1
+
 
 class TestMakeUla:
     def test_single_element_at_origin(self):
