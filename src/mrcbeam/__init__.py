@@ -21,8 +21,8 @@ from .montecarlo import (ExperimentConfig, SweepResult, band_average_gain,
                          run_snr_sweep, trial_rng)
 from .theory import (EULER_GAMMA, ArrayParameterEstimate,
                      conditional_ineffectiveness, effective_count,
-                     estimate_array_parameter, harmonic_number,
-                     ineffectiveness_probability, snr_mrc_theory,
+                     estimate_array_parameter, exact_array_parameter,
+                     harmonic_number, ineffectiveness_probability, snr_mrc_theory,
                      snr_ratio_theory, snr_single_theory, to_db)
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "broadside", "channel_from_json", "channel_to_json",
     "classify_effectiveness", "combined_response", "component_array_factor",
     "conditional_ineffectiveness", "decompose", "effective_count",
-    "estimate_array_parameter", "harmonic_number",
+    "estimate_array_parameter", "exact_array_parameter", "harmonic_number",
     "ineffectiveness_probability", "interference_term", "make_ula",
     "mrc_weights", "noise_power", "pair_gain_matrix", "pattern_gain_db",
     "per_antenna_response", "phase_matrix", "remove_component",

@@ -8,6 +8,7 @@ offsets from the band center; the combining weights are designed at f = 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,11 @@ def remove_component(channel: ChannelRealization, index: int) -> ChannelRealizat
     """Channel with component ``index`` deleted, e.g. a blocked path.
 
     Requires at least two components: removing the only path would leave
-    an empty channel.
+    an empty channel. ``index`` must be an integer; booleans are refused.
     """
+    if isinstance(index, (bool, np.bool_)):
+        raise TypeError(f"component index must be an integer, got {index!r}")
+    index = operator.index(index)
     if channel.m_paths < 2:
         raise ValueError("cannot remove a component from a single-path channel")
     if not 0 <= index < channel.m_paths:

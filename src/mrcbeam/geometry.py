@@ -7,6 +7,7 @@ in the phase computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +102,14 @@ class FieldOfView:
     def __post_init__(self):
         if not 0.0 <= self.half_angle <= np.pi / 2:
             raise ValueError(f"half_angle must be in [0, pi/2], got {self.half_angle}")
-        if abs(np.dot(self.boresight.vector, self.plane_axis.vector)) > 1e-9:
+        b, a = self.boresight.vector, self.plane_axis.vector
+        if abs(np.dot(b, a)) > 1e-9:
             raise ValueError("plane_axis must be orthogonal to boresight")
+        # Orthonormalize the accepted axis, so that every direction drawn
+        # from the sector is a unit vector to within Direction's tolerance.
+        # Exactly orthogonal axes come out unchanged, bit for bit.
+        a = a - np.dot(b, a) * b
+        object.__setattr__(self, "plane_axis", Direction(a / np.linalg.norm(a)))
 
     @classmethod
     def from_degrees(cls, fov_deg: float) -> "FieldOfView":
@@ -134,10 +141,15 @@ def make_ula(n_elements: int, spacing_wavelengths: float) -> AntennaArray:
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    if not spacing_wavelengths > 0:
-        raise ValueError(f"spacing must be positive, got {spacing_wavelengths}")
+    spacing = float(spacing_wavelengths)
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
+    # the phases 2 pi p.k reach 2 pi times the aperture, which must stay finite
+    if not math.isfinite(2.0 * math.pi * spacing * (int(n_elements) - 1)):
+        raise ValueError(f"array aperture {spacing_wavelengths} * {n_elements - 1} "
+                         f"wavelengths is too large")
     pos = np.zeros((n_elements, 3))
-    pos[:, 0] = np.arange(n_elements) * spacing_wavelengths
+    pos[:, 0] = np.arange(n_elements) * spacing
     return AntennaArray(pos)
 
 

@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# pair_gain_matrix stays importable here: perfbench/tracing.py wraps it.
+# pair_gain_matrix and estimate_array_parameter stay importable here:
+# perfbench/tracing.py wraps them.
 from .beams import (BeamWeights, classify_effectiveness, combined_response,
                     mrc_weights, noise_power, pair_gain_matrix,
                     single_direction_weights, strongest_component)
 from .channel import ChannelRealization, remove_component, sample_channel
 from .geometry import AntennaArray, Direction, FieldOfView, make_ula
 from .theory import (effective_count, estimate_array_parameter,
-                     ineffectiveness_probability, snr_mrc_theory,
-                     snr_single_theory, to_db)
+                     exact_array_parameter, ineffectiveness_probability,
+                     snr_mrc_theory, snr_single_theory, to_db)
 
-ARRAY_PARAM_SAMPLES = 100_000
 _TRIAL_BLOCK = 256
 
 
@@ -201,9 +201,9 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Ineffective-path probability and usable path count versus M.
 
     Empirical values average over every (trial, path) pair; the theory
-    columns use an array parameter estimated from the configured seed.
+    columns use the exact array parameter, so they do not depend on the seed.
     """
-    s = _array_parameter(cfg).s
+    s = _array_parameter(cfg)
     results = _run_trials(_effectiveness_trial, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr",
@@ -227,9 +227,10 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Band-averaged SNR versus M for both beam kinds, simulated and predicted.
 
     Per-trial linear SNRs are averaged in linear scale, then converted
-    to dB; averaging per-trial dB values would bias the result low.
+    to dB; averaging per-trial dB values would bias the result low. The
+    theory columns use the exact array parameter.
     """
-    s = _array_parameter(cfg).s
+    s = _array_parameter(cfg)
     results = _run_trials(_snr_trial, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
@@ -268,7 +269,9 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult((m,), cfg.trials, cols, samples)
 
 
-def _array_parameter(cfg: ExperimentConfig):
-    """Deterministic array-parameter estimate tied to the experiment seed."""
-    return estimate_array_parameter(cfg.array(), cfg.fov(), ARRAY_PARAM_SAMPLES,
-                                    trial_rng(cfg.seed, ()))
+def _array_parameter(cfg: ExperimentConfig) -> float:
+    """Exact array parameter of the configured array and field of view.
+
+    Computed by quadrature, so it draws nothing and no seed affects it.
+    """
+    return exact_array_parameter(cfg.array(), cfg.fov())

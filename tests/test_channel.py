@@ -272,6 +272,10 @@ class TestRemoveComponent:
             remove_component(ch2, 2)
         with pytest.raises(ValueError):
             remove_component(ch2, -1)
+        for index in (1.5, True):
+            with pytest.raises(TypeError):
+                remove_component(ch2, index)
+        assert remove_component(ch2, np.int64(1)).m_paths == 1
 
     def test_equals_from_arrays_build_without_revalidating(self, monkeypatch):
         ch = sample_channel(5, FieldOfView.from_degrees(180), 100e-9,

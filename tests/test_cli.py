@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -187,7 +188,10 @@ _GOOD_COMPONENT = {"re": 1.0, "im": 0.0, "kx": 0.0, "ky": 1.0, "kz": 0.0, "delay
 
 
 def _fails_with_one_error_line(argv, capsys):
-    assert main(argv) == 1
+    # outside pytest a warning prints lines of its own, so here it must fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mrcbeam: error: ")
 
@@ -215,6 +219,18 @@ class TestBadInput:
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(record))
         _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["ineffectiveness", "--elements", "4", "--m-max", "2", "--trials", "1",
+         "--spacing", "inf"],
+        ["array-param", "--elements", "4", "--spacing", "1e308"],       # inf aperture
+        ["blockage-cdf", "--elements", "4", "--m-paths", "2", "--trials", "1",
+         "--spacing", "1e307"],                 # finite aperture, phases overflow
+        ["snr-sweep", "--elements", "8", "--m-max", "2", "--trials", "1",
+         "--spacing", "1e6"],                   # too wide for the exact array parameter
+    ])
+    def test_bad_array(self, argv, capsys):
+        _fails_with_one_error_line(argv, capsys)
 
     def test_control_component_is_accepted(self, tmp_path):
         path = tmp_path / "ch.json"

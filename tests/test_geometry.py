@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrcbeam import (AntennaArray, Direction, FieldOfView, broadside, make_ula,
-                     phase_matrix, steering_vector)
+                     phase_matrix, sample_channel, steering_vector)
 
 
 class TestDirection:
@@ -56,7 +56,9 @@ class TestMakeUla:
         np.testing.assert_array_equal(arr.positions[:, 1:], np.zeros((8, 2)))
         np.testing.assert_allclose(np.diff(arr.positions[:, 0]), 0.5)
 
-    @pytest.mark.parametrize("n,spacing", [(0, 0.5), (-1, 0.5), (4, 0.0), (4, -0.1)])
+    @pytest.mark.parametrize("n,spacing", [(0, 0.5), (-1, 0.5), (4, 0.0), (4, -0.1),
+                                           (4, np.inf), (4, np.nan), (4, 1e308),
+                                           (4, 1e307)])
     def test_invalid_arguments(self, n, spacing):
         with pytest.raises(ValueError):
             make_ula(n, spacing)
@@ -129,6 +131,22 @@ class TestFieldOfView:
 
     def test_from_degrees(self):
         assert FieldOfView.from_degrees(120).half_angle == pytest.approx(np.pi / 3)
+
+    def test_from_degrees_axes_and_directions_unchanged(self):
+        fov = FieldOfView.from_degrees(120)
+        np.testing.assert_array_equal(fov.plane_axis.vector, [1.0, 0.0, 0.0])
+        theta = np.random.default_rng(3).uniform(-np.pi / 3, np.pi / 3, 50)
+        raw = (np.multiply.outer(np.cos(theta), [0.0, 1.0, 0.0])
+               + np.multiply.outer(np.sin(theta), [1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(fov.direction_at(theta), raw)
+
+    def test_nearly_orthogonal_axis_gives_valid_channels(self):
+        # accepted at |boresight . axis| <= 1e-9, then orthonormalized
+        fov = FieldOfView(np.pi / 2, plane_axis=Direction.from_vector([1.0, 5e-10, 0.0]))
+        assert abs(fov.plane_axis.vector @ fov.boresight.vector) <= 1e-15
+        rng = np.random.default_rng(12)
+        for _ in range(1000):
+            sample_channel(20, fov, 100e-9, rng)
 
     def test_direction_at_produces_unit_vectors(self):
         fov = FieldOfView.from_degrees(180)

@@ -175,17 +175,26 @@ class TestSnrSweep:
         assert res.columns["single_sim_db"][0] == pytest.approx(17.03, abs=0.5)
 
     def test_theory_columns_match_direct_formulas(self):
-        from mrcbeam import estimate_array_parameter, snr_mrc_theory, snr_single_theory
-        from mrcbeam.montecarlo import ARRAY_PARAM_SAMPLES
+        from mrcbeam import exact_array_parameter, snr_mrc_theory, snr_single_theory
         cfg = ExperimentConfig(n_elements=4, m_values=(3, 5), trials=10, seed=9)
         res = run_snr_sweep(cfg)
-        s = estimate_array_parameter(cfg.array(), cfg.fov(), ARRAY_PARAM_SAMPLES,
-                                     trial_rng(cfg.seed, ())).s
+        s = exact_array_parameter(cfg.array(), cfg.fov())
         for i, m in enumerate(cfg.m_values):
             assert res.columns["mrc_theory_db"][i] == pytest.approx(
                 to_db(snr_mrc_theory(4, m, s, 1.0)), abs=1e-12)
             assert res.columns["single_theory_db"][i] == pytest.approx(
                 to_db(snr_single_theory(4, m, s, 1.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("run,theory_cols", [
+        (run_snr_sweep, ("mrc_theory_db", "single_theory_db")),
+        (run_effectiveness_sweep, ("p_ineff_theory", "count_theory")),
+    ])
+    def test_theory_columns_do_not_depend_on_seed(self, run, theory_cols):
+        results = [run(ExperimentConfig(n_elements=4, m_values=(2, 4), trials=5,
+                                        freq_points=16, seed=seed)) for seed in (0, 1)]
+        for name in theory_cols:
+            assert results[0].columns[name] == results[1].columns[name]
+        assert results[0].columns != results[1].columns
 
 
 class TestBlockage:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from mrcbeam import (EULER_GAMMA, FieldOfView, conditional_ineffectiveness,
-                     effective_count, estimate_array_parameter, harmonic_number,
+from mrcbeam import (EULER_GAMMA, AntennaArray, Direction, FieldOfView,
+                     conditional_ineffectiveness, effective_count,
+                     estimate_array_parameter, exact_array_parameter, harmonic_number,
                      ineffectiveness_probability, make_ula, snr_mrc_theory,
                      snr_ratio_theory, snr_single_theory, to_db)
+from mrcbeam import theory
 
 FOV180 = FieldOfView.from_degrees(180)
 
@@ -68,7 +70,7 @@ def _reference_s(n):
     return p2 / (1 - p2)
 
 
-def exact_array_parameter(n, half_angle, spacing=0.5):
+def quad_array_parameter(n, half_angle, spacing=0.5):
     """Quadrature oracle: expand |pair gain|^2 over element index offsets.
 
     E[|(1/N) sum_n e^{j c n (sin t1 - sin t2)}|^2] with c = 2 pi spacing
@@ -102,7 +104,7 @@ class TestEstimateArrayParameter:
         assert est.s == pytest.approx(0.55, abs=0.02)
 
     def test_eight_element_quadrature_oracle(self):
-        oracle = exact_array_parameter(8, np.pi / 2)
+        oracle = quad_array_parameter(8, np.pi / 2)
         est = estimate_array_parameter(make_ula(8, 0.5), FOV180, 100_000,
                                        np.random.default_rng(2))
         assert abs(est.s - oracle) <= 4 * est.stderr
@@ -111,11 +113,11 @@ class TestEstimateArrayParameter:
     @pytest.mark.parametrize("n,expected", [(8, 0.1659), (16, 0.0912), (32, 0.0498)])
     def test_exact_half_wavelength_constants(self, n, expected):
         # the array parameters behind acceptance criterion 2's spot values
-        assert exact_array_parameter(n, np.pi / 2) == pytest.approx(expected, abs=5e-5)
+        assert quad_array_parameter(n, np.pi / 2) == pytest.approx(expected, abs=5e-5)
 
     def test_narrow_fov_quadrature_oracle(self):
         fov = FieldOfView.from_degrees(60)
-        oracle = exact_array_parameter(4, np.pi / 6)
+        oracle = quad_array_parameter(4, np.pi / 6)
         est = estimate_array_parameter(make_ula(4, 0.5), fov, 100_000,
                                        np.random.default_rng(3))
         assert abs(est.s - oracle) <= 4 * est.stderr
@@ -132,6 +134,38 @@ class TestEstimateArrayParameter:
         with pytest.raises(ValueError):
             estimate_array_parameter(make_ula(2, 0.5), FOV180, 0,
                                      np.random.default_rng(5))
+
+
+class TestExactArrayParameter:
+    @pytest.mark.parametrize("n,fov_deg", [(8, 180), (16, 180), (32, 180), (64, 180),
+                                           (4, 60)])
+    def test_matches_scipy_oracle(self, n, fov_deg):
+        oracle = quad_array_parameter(n, np.radians(fov_deg) / 2)
+        got = exact_array_parameter(make_ula(n, 0.5), FieldOfView.from_degrees(fov_deg))
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_single_element_and_single_direction_are_exactly_one(self):
+        assert exact_array_parameter(make_ula(1, 0.5), FOV180) == 1.0
+        assert exact_array_parameter(make_ula(8, 0.5), FieldOfView(0.0)) == 1.0
+
+    def test_planar_grid_matches_monte_carlo(self):
+        # 3 x 3 grid in the x-z plane, sector tilted so both axes matter
+        grid = AntennaArray([[0.5 * i, 0.0, 0.5 * k] for i in range(3) for k in range(3)])
+        fov = FieldOfView(np.pi / 3, plane_axis=Direction.from_vector([1.0, 0.0, 1.0]))
+        est = estimate_array_parameter(grid, fov, 200_000, np.random.default_rng(8))
+        assert abs(exact_array_parameter(grid, fov) - est.s) <= 4 * est.stderr
+
+    def test_converged_at_its_panel_count(self):
+        array = make_ula(64, 0.5)
+        s = exact_array_parameter(array, FOV180)
+        panels = math.ceil(2 * np.pi * 31.5 * np.pi / theory._PANEL_PHASE)
+        doubled = theory._array_parameter_by_panels(array, FOV180, 2 * panels)
+        assert s == theory._array_parameter_by_panels(array, FOV180, panels)
+        assert abs(s - doubled) <= 1e-13 * doubled
+
+    def test_too_wide_array_rejected(self):
+        with pytest.raises(ValueError, match="too wide"):
+            exact_array_parameter(make_ula(8, 1e6), FOV180)
 
 
 class TestConditionalIneffectiveness:
