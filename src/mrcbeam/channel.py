@@ -40,7 +40,7 @@ class ChannelRealization:
     through the same validation.
     """
 
-    __slots__ = ("_amplitudes", "_vectors", "_delays", "_tone_key", "_tones")
+    __slots__ = ("_amplitudes", "_vectors", "_delays")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -78,11 +78,10 @@ class ChannelRealization:
         self._keep(amplitudes, vectors, delays)
 
     def _keep(self, amplitudes: np.ndarray, vectors: np.ndarray, delays: np.ndarray) -> None:
-        """Freeze and keep valid arrays that no one else holds; no tones cached yet."""
+        """Freeze and keep valid arrays that no one else holds."""
         for arr in (amplitudes, vectors, delays):
             arr.setflags(write=False)
         self._amplitudes, self._vectors, self._delays = amplitudes, vectors, delays
-        self._tone_key = self._tones = None
 
     def __reduce__(self):
         # pickling and copying rebuild through the same validation
@@ -107,21 +106,6 @@ class ChannelRealization:
 
     def delays(self) -> np.ndarray:
         return self._delays
-
-    def tone_matrix(self, f) -> np.ndarray:
-        """Read-only (M, F) delay tones e^{-j 2 pi f tau_m} over the 1-D grid ``f``.
-
-        The matrix for the last grid asked for is kept, keyed on the grid's
-        bytes, so a hit returns exactly what a recompute would, signed
-        zeros included.
-        """
-        f = np.asarray(f, dtype=float)
-        key = f.tobytes()
-        if key != self._tone_key:
-            tones = np.exp(-2j * np.pi * np.outer(self._delays, f))
-            tones.setflags(write=False)
-            self._tone_key, self._tones = key, tones
-        return self._tones
 
 
 def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
@@ -157,14 +141,30 @@ def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) ->
 def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
     """Sum of the channel's delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
 
-    ``f`` may be a scalar, which drops the frequency axis, or a 1-D array
-    of F frequencies, which appends one of length F and reuses the
-    channel's tone matrix for that grid.
+    ``f`` may be a finite scalar, which drops the frequency axis, or a 1-D
+    array of F finite frequencies, which appends one of length F. An evenly
+    spaced grid f_k = f_0 + k d factors each tone exactly: with k = a B + b,
+    B = ceil(sqrt(F)) and A = ceil(F / B) it is
+    e^{-j 2 pi tau (f_0 + a B d)} e^{-j 2 pi tau b d}, so the sum is one
+    (A, M) @ (M, B) product over M (A + B) tones instead of M F. Any other
+    grid builds the (M, F) tones directly.
     """
     f = np.asarray(f, dtype=float)
+    if f.ndim > 1 or not np.isfinite(f).all():
+        raise ValueError(f"frequencies must be finite and at most 1-D, got shape {f.shape}")
+    delays = channel.delays()
     if f.ndim == 0:
-        return gains @ np.exp(-2j * np.pi * float(f) * channel.delays())
-    return gains @ channel.tone_matrix(f)
+        return gains @ np.exp(-2j * np.pi * float(f) * delays)
+    n = f.size
+    if n < 2 or not np.array_equal(np.linspace(f[0], f[-1], n), f):
+        return gains @ np.exp(-2j * np.pi * np.outer(delays, f))
+    cols = math.isqrt(n - 1) + 1                          # ceil(sqrt(n))
+    rows = -(-n // cols)
+    step = (f[-1] - f[0]) / (n - 1)   # as linspace spaces it; f[1] - f[0] is off by rounding
+    coarse = np.exp(-2j * np.pi * np.outer(delays, f[0] + step * (cols * np.arange(rows))))
+    fine = np.exp(-2j * np.pi * np.outer(delays, step * np.arange(cols)))
+    out = np.swapaxes(gains[..., :, None] * coarse, -1, -2) @ fine   # (..., A, B)
+    return out.reshape(*out.shape[:-2], rows * cols)[..., :n]
 
 
 def remove_component(channel: ChannelRealization, index: int) -> ChannelRealization:

@@ -114,11 +114,11 @@ def band_average_gain(weights: BeamWeights, channel: ChannelRealization,
                       array: AntennaArray, bandwidth: float, freq_points: int) -> float:
     """Mean of |beam output|^2 over a uniform frequency grid spanning the band.
 
-    The grid is ``freq_points`` frequencies on [-bandwidth/2, +bandwidth/2];
+    The grid is ``freq_points`` >= 2 frequencies on [-bandwidth/2, +bandwidth/2];
     zero bandwidth degenerates to the center-frequency power.
     """
-    if freq_points < 1:
-        raise ValueError("freq_points must be >= 1")
+    if freq_points < 2:
+        raise ValueError("freq_points must be >= 2")
     freqs = np.linspace(-bandwidth / 2.0, bandwidth / 2.0, freq_points)
     response = combined_response(weights, channel, array, freqs)
     return float(np.mean(np.abs(response) ** 2))

@@ -292,29 +292,37 @@ class TestCombinedResponseGrid:
                 * ch.amplitudes())
         return tone @ np.exp(-2j * np.pi * np.outer(ch.delays(), f))
 
-    def test_both_beams_share_one_matrix_and_match_direct_tones(self):
+    def test_both_beams_match_direct_tones(self):
+        # the factored grid sum rounds differently from the direct tones; its
+        # error stays within 8 eps (1 + largest phase) sum |gain|
         arr = make_ula(8, 0.5)
         ch = _random_channel(6, seed=22)
         beams = (mrc_weights(ch, arr),
                  single_direction_weights(arr, ch.components[strongest_component(ch)].direction))
-        first = combined_response(beams[0], ch, arr, self._F)
-        tones = ch.tone_matrix(self._F)
-        second = combined_response(beams[1], ch, arr, self._F.copy())
-        assert ch.tone_matrix(self._F) is tones
-        for w, got in zip(beams, (first, second)):
-            assert got.tobytes() == self._direct(w, ch, arr, self._F).tobytes()
+        max_phase = 2 * np.pi * ch.delays().max() * np.abs(self._F).max()
+        for w in beams:
+            gains = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
+                     * ch.amplitudes())
+            bound = 8 * np.finfo(float).eps * (1 + max_phase) * np.abs(gains).sum()
+            np.testing.assert_allclose(combined_response(w, ch, arr, self._F),
+                                       self._direct(w, ch, arr, self._F), rtol=0, atol=bound)
 
-    def test_scalar_frequency_unchanged_and_keeps_grid_matrix(self):
+    def test_scalar_frequency_unchanged(self):
         arr = make_ula(4, 0.5)
         ch = _random_channel(5, seed=23)
         w = mrc_weights(ch, arr)
-        tones = ch.tone_matrix(self._F)
         for f in (0.0, -0.0, 1.3e8):
             tone = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
                     * ch.amplitudes())
             assert combined_response(w, ch, arr, f) == complex(
                 tone @ np.exp(-2j * np.pi * f * ch.delays()))
-        assert ch.tone_matrix(self._F) is tones
+
+    @pytest.mark.parametrize("f", [np.zeros((2, 3)), np.inf, [0.0, np.nan]])
+    def test_bad_frequency_rejected(self, f):
+        arr = make_ula(4, 0.5)
+        ch = _random_channel(3, seed=25)
+        with pytest.raises(ValueError):
+            combined_response(mrc_weights(ch, arr), ch, arr, f)
 
     def test_copied_channel_gives_same_response(self):
         arr = make_ula(4, 0.5)

@@ -11,6 +11,7 @@ from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfVie
                      make_ula, per_antenna_response, remove_component,
                      run_blockage_experiment, run_effectiveness_sweep, run_snr_sweep,
                      sample_channel)
+from mrcbeam.channel import tone_sum
 
 
 def _component(alpha, theta=0.0, delay=0.0):
@@ -141,46 +142,60 @@ def test_trial_loop_builds_no_per_path_objects(monkeypatch):
     run_blockage_experiment(cfg)
 
 
-class TestToneMatrix:
-    _F = np.linspace(-5e8, 5e8, 9)
+class TestToneSum:
+    """The factored evenly-spaced grid against the direct tones e^{-j 2 pi f tau}."""
 
-    def _channel(self):
-        return sample_channel(4, FieldOfView.from_degrees(180), 100e-9,
+    @staticmethod
+    def _channel(m):
+        return sample_channel(m, FieldOfView.from_degrees(180), 100e-9,
                               np.random.default_rng(30))
 
-    def test_equal_grid_reuses_read_only_matrix(self):
-        ch = self._channel()
-        tones = ch.tone_matrix(self._F)
-        assert ch.tone_matrix(self._F.copy()) is tones
-        assert tones.tobytes() == np.exp(-2j * np.pi * np.outer(ch.delays(), self._F)).tobytes()
-        with pytest.raises(ValueError):
-            tones[0, 0] = 0.0
+    @staticmethod
+    def _gains(shape, seed=31):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    @pytest.mark.parametrize("other", [np.linspace(-5e8, 5e8, 8), np.zeros(9)])
-    def test_other_grid_recomputes(self, other):
-        ch = self._channel()
-        first = ch.tone_matrix(self._F)
-        again = ch.tone_matrix(other)
-        assert again is not first
-        assert again.tobytes() == np.exp(-2j * np.pi * np.outer(ch.delays(), other)).tobytes()
-        assert ch.tone_matrix(self._F) is not first
+    @staticmethod
+    def _direct(gains, ch, f):
+        return gains @ np.exp(-2j * np.pi * np.outer(ch.delays(), f))
 
-    def test_signed_zero_grid_recomputes(self):
-        ch = self._channel()
-        zero, negative_zero = np.zeros(3), -np.zeros(3)
-        first = ch.tone_matrix(zero)
-        assert ch.tone_matrix(negative_zero) is not first
-        assert ch.tone_matrix(negative_zero) is ch.tone_matrix(-np.zeros(3))
+    @staticmethod
+    def _bound(gains, ch, f):
+        """8 eps (1 + largest phase) sum |gains|, per output row."""
+        max_phase = 2 * np.pi * ch.delays().max() * np.abs(f).max()
+        total = np.abs(gains).sum(axis=-1)[..., None]
+        return 8 * np.finfo(float).eps * (1 + max_phase) * total
 
-    def test_copies_and_blocked_channel_start_afresh(self):
-        ch = self._channel()
-        tones = ch.tone_matrix(self._F)
-        for other in (copy.deepcopy(ch), pickle.loads(pickle.dumps(ch)),
-                      remove_component(ch, 0)):
-            again = other.tone_matrix(self._F)
-            assert again is not tones
-            assert again.tobytes() == np.exp(
-                -2j * np.pi * np.outer(other.delays(), self._F)).tobytes()
+    @pytest.mark.parametrize("n", [2, 3, 1024, 1025, 2047])
+    @pytest.mark.parametrize("shape", [(6,), (4, 6)])
+    def test_even_grid_matches_direct_tones(self, n, shape):
+        ch, gains = self._channel(6), self._gains(shape)
+        f = np.linspace(-5e8, 5e8, n)
+        got = tone_sum(gains, ch, f)
+        assert got.shape == shape[:-1] + (n,)
+        assert (np.abs(got - self._direct(gains, ch, f)) <= self._bound(gains, ch, f)).all()
+
+    def test_large_phase_within_bound(self):
+        # delays up to 10 us over a 5 GHz band: phases up to 1.6e5 rad
+        drawn, gains = self._channel(8), self._gains((8,))
+        ch = ChannelRealization.from_arrays(drawn.amplitudes(), drawn.direction_matrix(),
+                                            np.linspace(0.0, 10e-6, 8))
+        f = np.linspace(-2.5e9, 2.5e9, 1024)
+        assert (np.abs(tone_sum(gains, ch, f) - self._direct(gains, ch, f))
+                <= self._bound(gains, ch, f)).all()
+
+    @pytest.mark.parametrize("f", [np.linspace(0.0, 0.0, 16), np.linspace(-0.0, 0.0, 16),
+                                   -np.zeros(16)])
+    def test_zero_bandwidth_is_center_response(self, f):
+        ch, gains = self._channel(5), self._gains((3, 5))
+        center = tone_sum(gains, ch, 0.0)
+        np.testing.assert_allclose(tone_sum(gains, ch, f), np.repeat(center[:, None], 16, 1),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("f", [np.array([-5e8, -1e8, 2e8, 5e8]), np.array([3e8])])
+    def test_uneven_or_single_point_grid_is_direct(self, f):
+        ch, gains = self._channel(5), self._gains((3, 5))
+        assert tone_sum(gains, ch, f).tobytes() == self._direct(gains, ch, f).tobytes()
 
 
 class TestResponse:
@@ -224,6 +239,12 @@ class TestResponse:
         parts = sum(per_antenna_response(ChannelRealization((c,)), arr, f)
                     for c in ch.components)
         np.testing.assert_allclose(total, parts, atol=1e-12)
+
+    @pytest.mark.parametrize("f", [np.zeros((2, 3)), np.inf, [0.0, np.nan]])
+    def test_bad_frequency_rejected(self, f):
+        ch = ChannelRealization((_component(1.0, 0.2, 10e-9),))
+        with pytest.raises(ValueError):
+            per_antenna_response(ch, make_ula(2, 0.5), f)
 
     def test_vector_frequency_shape(self):
         arr = make_ula(3, 0.5)

@@ -106,6 +106,13 @@ class TestBandAverageGain:
         center = abs(combined_response(w, ch, arr, 0.0)) ** 2
         assert band_average_gain(w, ch, arr, 0.0, 16) == pytest.approx(center, rel=1e-12)
 
+    def test_one_point_rejected(self):
+        # one point would be the band-edge power, not an average over the band
+        arr = make_ula(4, 0.5)
+        ch = sample_channel(3, FOV180, 100e-9, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="freq_points"):
+            band_average_gain(mrc_weights(ch, arr), ch, arr, 1e9, 1)
+
     def test_two_path_closed_form_oracle(self):
         # scalar expansion: |a1|^2 + |a2|^2 + 2 Re(a1 conj(a2) e^{-j2pi f (t1-t2)})
         a1, a2 = 0.9 + 0.4j, -0.3 + 1.2j
