@@ -134,10 +134,18 @@ def decompose(channel: ChannelRealization, array: AntennaArray, r: Direction) ->
     return Decomposition(terms, r)
 
 
-def _cross_beam(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
-    """`interference_term` of every path at once: conj(a) @ G - conj(a)."""
-    conj_a = np.conj(channel.amplitudes())
-    return conj_a @ pair_gain_matrix(array, channel.direction_matrix()) - conj_a
+def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
+                            vectors: np.ndarray) -> np.ndarray:
+    """`interference_term` of every path of a stack of (..., M) channels.
+
+    ``vectors`` is (..., M, 3). The combining beam's array factor toward each
+    path, minus the path's own term conj(a), is (h0^H S) / N - conj(a) with
+    steering matrix S and h0 = S a: O(N M) per channel, no (M, M) gain matrix.
+    """
+    s = np.exp(1j * phase_matrix(array, vectors))                   # (..., N, M)
+    h0 = s @ amplitudes[..., :, None]                                # (..., N, 1)
+    factor = (np.swapaxes(h0.conj(), -1, -2) @ s)[..., 0, :] / array.n_elements
+    return factor - np.conj(amplitudes)
 
 
 def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) -> complex:
@@ -147,13 +155,15 @@ def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) 
     """
     if not 0 <= h < channel.m_paths:
         raise ValueError(f"component index {h} out of range for M={channel.m_paths}")
-    return complex(_cross_beam(channel, array)[h])
+    return complex(cross_beam_interference(array, channel.amplitudes(),
+                                           channel.direction_matrix())[h])
 
 
 def classify_effectiveness(channel: ChannelRealization, array: AntennaArray) -> EffectivenessReport:
     """Flag every path as effective or not under the combining beam."""
     amplitudes = np.abs(channel.amplitudes())
-    interference = np.abs(_cross_beam(channel, array))
+    interference = np.abs(cross_beam_interference(array, channel.amplitudes(),
+                                                  channel.direction_matrix()))
     return EffectivenessReport(amplitudes, interference, amplitudes >= interference)
 
 

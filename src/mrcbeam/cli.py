@@ -190,7 +190,8 @@ def _cmd_array_param(args) -> None:
     config = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,
               "fov_deg": args.fov_deg, "samples": args.samples, "seed": args.seed}
     _emit(args, "array-param", config,
-          {"s": est.s, "stderr": est.stderr, "samples": est.samples},
+          {"s": est.s, "stderr": output.json_stderr(est.stderr, est.samples),
+           "samples": est.samples},
           ["n_elements", "fov_deg", "s", "stderr", "samples"],
           [(args.elements, args.fov_deg, est.s, est.stderr, est.samples)])
 

@@ -159,13 +159,13 @@ def phase_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     array : AntennaArray
-    unit_vectors : (M, 3) array of unit direction vectors
+    unit_vectors : (..., M, 3) array of unit direction vectors
 
     Returns
     -------
-    (N, M) array, entry [n, m] the phase at element n from direction m.
+    (..., N, M) array, entry [..., n, m] the phase at element n from direction m.
     """
-    return 2.0 * np.pi * (array.positions @ np.asarray(unit_vectors, dtype=float).T)
+    return 2.0 * np.pi * (array.positions @ np.asarray(unit_vectors, dtype=float).swapaxes(-1, -2))
 
 
 def steering_vector(array: AntennaArray, k: Direction) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 # pair_gain_matrix and estimate_array_parameter stay importable here:
 # perfbench/tracing.py wraps them.
-from .beams import (BeamWeights, classify_effectiveness, combined_response,
+from .beams import (BeamWeights, combined_response, cross_beam_interference,
                     mrc_weights, noise_power, pair_gain_matrix,
                     single_direction_weights, strongest_component)
 from .channel import ChannelRealization, remove_component, sample_channel
@@ -27,6 +27,8 @@ from .theory import (effective_count, estimate_array_parameter,
                      snr_mrc_theory, snr_single_theory, to_db)
 
 _TRIAL_BLOCK = 256
+# SeedSequence's output hash, which `_block_streams` runs for a whole block
+_MASK32, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x8B51F9DD, 0x58F38DED
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,52 @@ def band_average_gain(weights: BeamWeights, channel: ChannelRealization,
     return float(np.mean(np.abs(response) ** 2))
 
 
+@functools.cache
+def _stream_seed_type() -> type:
+    """numpy seed source that hands PCG64 one stream's ready seed words.
+
+    Built on first use, so that importing mrcbeam does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a block stream only supplies PCG64's 4 uint64 seed words")
+            return self.state
+
+    return StreamSeed
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, at least one."""
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _block_streams(seed: int, m: int, lo: int, hi: int):
+    """The streams ``trial_rng(seed, (m, t))`` for t in [lo, hi), same draws.
+
+    numpy mixes each trial's entropy into its pool, as it does for a list of
+    ints; the output step of ``SeedSequence.generate_state(4, uint64)`` then
+    runs once for the block. Each Generator is built when it is asked for.
+    """
+    prefix = _words(seed % (1 << 64)) + _words(m)
+    pools = np.array([np.random.SeedSequence(np.array(prefix + _words(t), dtype=np.uint32)).pool
+                      for t in range(lo, hi)], dtype=np.uint32).reshape(hi - lo, 4)
+    words, hash_const = np.empty((hi - lo, 8), dtype=np.uint32), _INIT_B
+    for i in range(8):
+        w = pools[:, i % 4] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        w = w * hash_const                  # uint32 arrays wrap modulo 2**32
+        words[:, i] = w ^ (w >> 16)
+    seed_type = _stream_seed_type()
+    for state in words.astype("<u4").view("<u8").astype(np.uint64):
+        yield np.random.Generator(np.random.PCG64(seed_type(state)))
+
+
 def _trial_block(trial, cfg: ExperimentConfig, block) -> np.ndarray:
     """Results of ``trial`` for one trial range, one row of two per trial.
 
@@ -133,16 +181,26 @@ def _trial_block(trial, cfg: ExperimentConfig, block) -> np.ndarray:
     m, lo, hi = block
     array, fov = cfg.array(), cfg.fov()
     out = np.empty((hi - lo, 2))
-    for t in range(lo, hi):
-        rng = trial_rng(cfg.seed, (m, t))
-        out[t - lo] = trial(cfg, array, sample_channel(m, fov, cfg.delay_max_s, rng), rng)
+    for i, rng in enumerate(_block_streams(cfg.seed, m, lo, hi)):
+        out[i] = trial(cfg, array, sample_channel(m, fov, cfg.delay_max_s, rng), rng)
     return out
 
 
-def _effectiveness_trial(cfg, array, channel, rng) -> tuple[float, int]:
-    """(ineffective fraction, effective count) under the combining beam."""
-    report = classify_effectiveness(channel, array)
-    return report.fraction_ineffective, report.n_effective
+def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
+    """(ineffective fraction, effective count) of every trial in one block.
+
+    Each trial draws its channel from its own stream; all paths of the
+    block are then classified in one batched pass.
+    """
+    m, lo, hi = block
+    fov = cfg.fov()
+    amplitudes, vectors = np.empty((hi - lo, m), dtype=complex), np.empty((hi - lo, m, 3))
+    for i, rng in enumerate(_block_streams(cfg.seed, m, lo, hi)):
+        channel = sample_channel(m, fov, cfg.delay_max_s, rng)
+        amplitudes[i], vectors[i] = channel.amplitudes(), channel.direction_matrix()
+    interference = cross_beam_interference(cfg.array(), amplitudes, vectors)
+    counts = np.count_nonzero(np.abs(amplitudes) >= np.abs(interference), axis=1)
+    return np.column_stack([(m - counts) / m, counts])
 
 
 def _beam_snrs(cfg, array, design: ChannelRealization,
@@ -170,8 +228,8 @@ def _blockage_trial(cfg, array, channel, rng) -> list[float]:
     return [to_db(snr) for snr in _beam_snrs(cfg, array, channel, blocked)]
 
 
-def _run_trials(trial, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
-    """(trials, 2) results of ``trial`` for every m, in trial order.
+def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
+    """(trials, 2) results of ``block_fn(cfg, block)`` for every m, in trial order.
 
     Trials run in fixed blocks, serially or on a process pool of at most
     one worker per block; the blocks are put back together in trial order
@@ -179,7 +237,7 @@ def _run_trials(trial, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]
     """
     blocks = [(m, lo, min(lo + _TRIAL_BLOCK, cfg.trials))
               for m in m_values for lo in range(0, cfg.trials, _TRIAL_BLOCK)]
-    fn = functools.partial(_trial_block, trial, cfg)
+    fn = functools.partial(block_fn, cfg)
     workers = min(cfg.workers, len(blocks))
     if workers == 1:
         outputs = [fn(b) for b in blocks]
@@ -204,7 +262,7 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
     columns use the exact array parameter, so they do not depend on the seed.
     """
     s = _array_parameter(cfg)
-    results = _run_trials(_effectiveness_trial, cfg, cfg.m_values)
+    results = _run_trials(_effectiveness_block, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr",
         "count_theory", "count_mean", "count_stderr", "count_median")}
@@ -231,7 +289,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     theory columns use the exact array parameter.
     """
     s = _array_parameter(cfg)
-    results = _run_trials(_snr_trial, cfg, cfg.m_values)
+    results = _run_trials(functools.partial(_trial_block, _snr_trial), cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
         "single_theory_db", "single_sim_db", "single_sim_stderr_db")}
@@ -261,8 +319,9 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     m = cfg.m_values[0]
     if m < 2:
         raise ValueError("blockage experiment needs at least two paths")
+    results = _run_trials(functools.partial(_trial_block, _blockage_trial), cfg, (m,))
     cols, samples = {}, {}
-    for kind, snr_db in zip(("mrc", "single"), _run_trials(_blockage_trial, cfg, (m,))[m].T):
+    for kind, snr_db in zip(("mrc", "single"), results[m].T):
         mean, err = _mean_stderr(snr_db)
         cols[f"{kind}_mean_db"], cols[f"{kind}_stderr_db"] = (mean,), (err,)
         samples[kind] = tuple(float(x) for x in np.sort(snr_db))

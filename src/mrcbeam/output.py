@@ -44,8 +44,16 @@ def write_csv(header: list[str], rows: list[tuple], path: str | None) -> None:
 
 
 def write_json(payload: dict, path: str | None) -> None:
-    """Write a JSON document with sorted keys to ``path`` or standard output."""
-    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    """Write a JSON document with sorted keys to ``path`` or standard output.
+
+    JSON has no NaN or infinity: a non-finite number raises ValueError.
+    """
+    _write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
+
+
+def json_stderr(value: float, samples: int) -> float | None:
+    """A standard error as JSON writes it: null where one sample leaves it undefined."""
+    return value if samples > 1 else None
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -91,8 +99,10 @@ def json_payload(command: str, config: dict, results: dict) -> dict:
 
 
 def sweep_columns_json(result: SweepResult) -> dict:
+    columns = {k: [json_stderr(x, result.trials) for x in v] if "stderr" in k else list(v)
+               for k, v in result.columns.items()}
     out: dict = {"m_values": list(result.m_values), "trials": result.trials,
-                 "columns": {k: list(v) for k, v in result.columns.items()}}
+                 "columns": columns}
     if result.samples:
         out["samples"] = {k: list(v) for k, v in result.samples.items()}
     return out

@@ -8,9 +8,11 @@ from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
                      MultipathComponent, array_factor, broadside,
                      classify_effectiveness, combined_response,
                      component_array_factor, decompose, interference_term,
-                     make_ula, mrc_weights, noise_power, per_antenna_response,
-                     phase_matrix, remove_component, sample_channel,
-                     single_direction_weights, steering_vector, strongest_component)
+                     make_ula, mrc_weights, noise_power, pair_gain_matrix,
+                     per_antenna_response, phase_matrix, remove_component,
+                     sample_channel, single_direction_weights, steering_vector,
+                     strongest_component)
+from mrcbeam.beams import cross_beam_interference
 
 FOV180 = FieldOfView.from_degrees(180)
 
@@ -239,6 +241,46 @@ class TestClassifyEffectiveness:
                 abs(interference_term(ch, arr, h)), abs=1e-12)
             assert report.amplitudes[h] == pytest.approx(abs(comp.alpha), abs=1e-15)
             assert report.effective[h] == (report.amplitudes[h] >= report.interference[h])
+
+
+class TestCrossBeamInterference:
+    """The batched interference over stacked channels behind the per-path API."""
+
+    @staticmethod
+    def _stack(channels):
+        return (np.array([ch.amplitudes() for ch in channels]),
+                np.array([ch.direction_matrix() for ch in channels]))
+
+    def test_stack_gives_the_flags_of_single_calls(self):
+        arr = make_ula(8, 0.5)
+        channels = [_random_channel(7, seed) for seed in range(40, 52)]
+        amplitudes, vectors = self._stack(channels)
+        flags = np.abs(amplitudes) >= np.abs(cross_beam_interference(arr, amplitudes, vectors))
+        for ch, row in zip(channels, flags):
+            assert row.tolist() == classify_effectiveness(ch, arr).effective.tolist()
+        assert 0 < flags.sum() < flags.size       # both outcomes occur
+
+    def test_matches_pair_gain_oracle(self):
+        arr = PLANAR_3X3
+        for ch in (example_channel(0.15), _random_channel(9, seed=53)):
+            conj_a = np.conj(ch.amplitudes())
+            oracle = conj_a @ pair_gain_matrix(arr, ch.direction_matrix()) - conj_a
+            for h in range(ch.m_paths):
+                assert abs(interference_term(ch, arr, h) - oracle[h]) <= 1e-12
+
+    def test_single_path_channels_are_effective(self):
+        arr = make_ula(8, 0.5)
+        amplitudes, vectors = self._stack([_random_channel(1, seed) for seed in range(54, 64)])
+        interference = cross_beam_interference(arr, amplitudes, vectors)
+        assert (np.abs(amplitudes) >= np.abs(interference)).all()
+
+    def test_phase_matrix_on_a_stack(self):
+        arr = PLANAR_3X3
+        _, vectors = self._stack([_random_channel(5, seed) for seed in range(64, 68)])
+        stacked = phase_matrix(arr, vectors)
+        assert stacked.shape == (4, 9, 5)
+        for vecs, phases in zip(vectors, stacked):
+            np.testing.assert_allclose(phases, phase_matrix(arr, vecs), rtol=0, atol=1e-12)
 
 
 class TestCombinedResponse:

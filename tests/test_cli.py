@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import mrcbeam.cli
 import mrcbeam.montecarlo
-from mrcbeam import channel_from_json
+from mrcbeam import ArrayParameterEstimate, channel_from_json
 from mrcbeam.cli import main, parse_args
 from mrcbeam.output import parse_frequency, write_csv
 
@@ -232,11 +233,45 @@ class TestBadInput:
     def test_bad_array(self, argv, capsys):
         _fails_with_one_error_line(argv, capsys)
 
+    def test_non_finite_json_value_fails_cleanly(self, monkeypatch, capsys):
+        monkeypatch.setattr(mrcbeam.cli, "estimate_array_parameter",
+                            lambda *args: ArrayParameterEstimate(float("nan"), 10, 0.1))
+        _fails_with_one_error_line(["array-param", "--format", "json"], capsys)
+
     def test_control_component_is_accepted(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_text(json.dumps({"components": [_GOOD_COMPONENT]}))
         assert main(["beam-pattern", "--channel-file", str(path),
                      "--output", str(tmp_path / "p.csv")]) == 0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not standard JSON: {name}")
+
+
+class TestOneSampleJson:
+    """A standard error of one sample is undefined, and JSON writes it as null."""
+
+    @pytest.mark.parametrize("argv, stderr_keys", [
+        (["snr-sweep", "--elements", "4", "--m-max", "2", "--trials", "1",
+          "--freq-points", "8"], ("mrc_sim_stderr_db", "single_sim_stderr_db")),
+        (["ineffectiveness", "--elements", "4", "--m-max", "2", "--trials", "1"],
+         ("p_ineff_stderr", "count_stderr")),
+        (["blockage-cdf", "--elements", "4", "--m-paths", "3", "--trials", "1",
+          "--freq-points", "8"], ("mrc_stderr_db", "single_stderr_db")),
+    ])
+    def test_experiment_json_is_standard(self, argv, stderr_keys, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        columns = json.loads(capsys.readouterr().out,
+                             parse_constant=_refuse_constant)["results"]["columns"]
+        for key in stderr_keys:
+            assert set(columns[key]) == {None}
+
+    def test_array_param_json_is_standard(self, capsys):
+        assert main(["array-param", "--samples", "1", "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out,
+                             parse_constant=_refuse_constant)["results"]
+        assert results["stderr"] is None and results["samples"] == 1
 
 
 class TestDeterministicOutput:

@@ -5,11 +5,12 @@ import pytest
 
 from mrcbeam import (BeamKind, BeamWeights, ChannelRealization, Direction,
                      ExperimentConfig, FieldOfView, MultipathComponent,
-                     band_average_gain, make_ula, mrc_weights, noise_power,
-                     remove_component, run_blockage_experiment,
-                     run_effectiveness_sweep, run_snr_sweep, sample_channel,
-                     single_direction_weights, strongest_component, to_db,
-                     trial_rng)
+                     band_average_gain, classify_effectiveness, make_ula,
+                     mrc_weights, noise_power, remove_component,
+                     run_blockage_experiment, run_effectiveness_sweep,
+                     run_snr_sweep, sample_channel, single_direction_weights,
+                     strongest_component, to_db, trial_rng)
+from mrcbeam.montecarlo import _block_streams
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -85,6 +86,42 @@ class TestTrialRng:
 
     def test_negative_seed_accepted(self):
         trial_rng(-5, 0).uniform(size=4)
+
+
+class TestBlockStreams:
+    """A block's streams against the single-stream oracle `trial_rng`."""
+
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("m, lo", [(3, 0), (3, 256), (2**32, 0), (5, 2**32 - 2)])
+    def test_same_state_and_draws_as_trial_rng(self, seed, m, lo):
+        streams = list(_block_streams(seed, m, lo, lo + 6))
+        assert len(streams) == 6
+        for t, rng in enumerate(streams, start=lo):
+            oracle = trial_rng(seed, (m, t))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            np.testing.assert_array_equal(rng.standard_normal(8), oracle.standard_normal(8))
+            assert rng.integers(1 << 40) == oracle.integers(1 << 40)
+
+    @pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32), (2, np.uint64)])
+    def test_seed_source_refuses_other_requests(self, n_words, dtype):
+        seed_seq = next(_block_streams(0, 1, 0, 1)).bit_generator.seed_seq
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(n_words, dtype)
+
+    def test_effectiveness_sweep_matches_per_trial_loop(self):
+        cfg = ExperimentConfig(n_elements=6, m_values=(1, 5), trials=300, seed=23)
+        res = run_effectiveness_sweep(cfg)
+        arr, fov = cfg.array(), cfg.fov()
+        for i, m in enumerate(cfg.m_values):
+            reports = [classify_effectiveness(
+                sample_channel(m, fov, cfg.delay_max_s, trial_rng(cfg.seed, (m, t))), arr)
+                for t in range(cfg.trials)]
+            fracs = np.array([r.fraction_ineffective for r in reports])
+            counts = np.array([r.n_effective for r in reports], dtype=float)
+            assert res.columns["p_ineff_empirical"][i] == fracs.mean()
+            assert res.columns["p_ineff_stderr"][i] == fracs.std(ddof=1) / np.sqrt(cfg.trials)
+            assert res.columns["count_mean"][i] == counts.mean()
+            assert res.columns["count_median"][i] == np.median(counts)
 
 
 class TestBandAverageGain:
