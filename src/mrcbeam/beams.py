@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, per_antenna_response, tone_sum
+from .channel import ChannelRealization, tone_sum
 from .geometry import AntennaArray, Direction, phase_matrix, steering_vector
 
 
@@ -80,7 +80,7 @@ class EffectivenessReport:
 
 def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> BeamWeights:
     """Conjugate-combining weights designed at f = 0: conj(H_n(0)) / N."""
-    h0 = per_antenna_response(channel, array, 0.0)
+    _, h0 = _center_response(array, channel.amplitudes(), channel.direction_matrix())
     return BeamWeights(np.conj(h0) / array.n_elements, BeamKind.MRC)
 
 
@@ -134,6 +134,12 @@ def decompose(channel: ChannelRealization, array: AntennaArray, r: Direction) ->
     return Decomposition(terms, r)
 
 
+def _center_response(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray):
+    """Steering matrices S (..., N, M) of stacked channels, and h0 = S a (..., N)."""
+    s = np.exp(1j * phase_matrix(array, vectors))
+    return s, (s @ amplitudes[..., :, None])[..., 0]
+
+
 def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
                             vectors: np.ndarray) -> np.ndarray:
     """`interference_term` of every path of a stack of (..., M) channels.
@@ -142,10 +148,25 @@ def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
     path, minus the path's own term conj(a), is (h0^H S) / N - conj(a) with
     steering matrix S and h0 = S a: O(N M) per channel, no (M, M) gain matrix.
     """
-    s = np.exp(1j * phase_matrix(array, vectors))                   # (..., N, M)
-    h0 = s @ amplitudes[..., :, None]                                # (..., N, 1)
-    factor = (np.swapaxes(h0.conj(), -1, -2) @ s)[..., 0, :] / array.n_elements
+    s, h0 = _center_response(array, amplitudes, vectors)
+    factor = (h0.conj()[..., None, :] @ s)[..., 0, :] / array.n_elements
     return factor - np.conj(amplitudes)
+
+
+def design_beams(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray,
+                 sigma0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both beams of stacked channels with (..., M) amplitudes and (..., M, 3) vectors.
+
+    Returns (..., 2, N) coefficients, `mrc_weights` then `single_direction_weights`
+    toward `strongest_component`, and their (..., 2) `noise_power` at ``sigma0``.
+    """
+    if not 0 <= sigma0 < np.inf:                  # also rejects NaN
+        raise ValueError(f"sigma0 must be >= 0 and finite, got {sigma0}")
+    s, h0 = _center_response(array, amplitudes, vectors)
+    strongest = np.argmax(np.abs(amplitudes), axis=-1)          # ties: lowest index
+    steer = np.take_along_axis(s, strongest[..., None, None], axis=-1)[..., 0]
+    coeffs = np.conj(np.stack([h0, steer], axis=-2)) / array.n_elements
+    return coeffs, sigma0 ** 2 * np.einsum("...n,...n->...", coeffs, coeffs.conj()).real
 
 
 def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) -> complex:
@@ -184,9 +205,9 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
 
 def noise_power(weights: BeamWeights, sigma0: float) -> float:
     """Output noise variance for per-antenna noise std ``sigma0``."""
-    if sigma0 < 0:
-        raise ValueError(f"sigma0 must be >= 0, got {sigma0}")
-    return float(sigma0 ** 2 * np.sum(np.abs(weights.coefficients) ** 2))
+    if not 0 <= sigma0 < np.inf:                  # also rejects NaN
+        raise ValueError(f"sigma0 must be >= 0 and finite, got {sigma0}")
+    return float(sigma0 ** 2 * np.vdot(weights.coefficients, weights.coefficients).real)
 
 
 def pattern_gain_db(weights: BeamWeights, array: AntennaArray,

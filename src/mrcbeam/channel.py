@@ -7,6 +7,7 @@ offsets from the band center; the combining weights are designed at f = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -138,6 +139,19 @@ def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) ->
     return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel, f)
 
 
+def even_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)``, read-only and built once per distinct grid."""
+    # the signs keep -0.0 and 0.0 apart, which compare and hash equal
+    return _even_grid(lo, hi, n, math.copysign(1.0, lo), math.copysign(1.0, hi))
+
+
+@functools.lru_cache(maxsize=8)
+def _even_grid(lo: float, hi: float, n: int, *signs: float) -> np.ndarray:
+    grid = np.linspace(lo, hi, n)
+    grid.setflags(write=False)
+    return grid
+
+
 def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
     """Sum of the channel's delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
 
@@ -156,14 +170,14 @@ def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
     if f.ndim == 0:
         return gains @ np.exp(-2j * np.pi * float(f) * delays)
     n = f.size
-    if n < 2 or not np.array_equal(np.linspace(f[0], f[-1], n), f):
+    if n < 2 or not np.array_equal(even_grid(float(f[0]), float(f[-1]), n), f):
         return gains @ np.exp(-2j * np.pi * np.outer(delays, f))
     cols = math.isqrt(n - 1) + 1                          # ceil(sqrt(n))
     rows = -(-n // cols)
     step = (f[-1] - f[0]) / (n - 1)   # as linspace spaces it; f[1] - f[0] is off by rounding
-    coarse = np.exp(-2j * np.pi * np.outer(delays, f[0] + step * (cols * np.arange(rows))))
-    fine = np.exp(-2j * np.pi * np.outer(delays, step * np.arange(cols)))
-    out = np.swapaxes(gains[..., :, None] * coarse, -1, -2) @ fine   # (..., A, B)
+    offsets = np.concatenate([f[0] + step * (cols * np.arange(rows)), step * np.arange(cols)])
+    tones = np.exp(-2j * np.pi * np.outer(delays, offsets))         # (M, A + B)
+    out = np.swapaxes(gains[..., :, None] * tones[:, :rows], -1, -2) @ tones[:, rows:]
     return out.reshape(*out.shape[:-2], rows * cols)[..., :n]
 
 

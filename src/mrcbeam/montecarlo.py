@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# pair_gain_matrix and estimate_array_parameter stay importable here:
-# perfbench/tracing.py wraps them.
-from .beams import (BeamWeights, combined_response, cross_beam_interference,
-                    mrc_weights, noise_power, pair_gain_matrix,
+# Unused here but wrapped by perfbench/tracing.py: estimate_array_parameter,
+# mrc_weights, noise_power, pair_gain_matrix, single_direction_weights, strongest_component.
+from .beams import (BeamKind, BeamWeights, combined_response, cross_beam_interference,
+                    design_beams, mrc_weights, noise_power, pair_gain_matrix,
                     single_direction_weights, strongest_component)
-from .channel import ChannelRealization, remove_component, sample_channel
-from .geometry import AntennaArray, Direction, FieldOfView, make_ula
+from .channel import ChannelRealization, even_grid, remove_component, sample_channel
+from .geometry import AntennaArray, FieldOfView, make_ula
 from .theory import (effective_count, estimate_array_parameter,
                      exact_array_parameter, ineffectiveness_probability,
                      snr_mrc_theory, snr_single_theory, to_db)
@@ -61,6 +61,10 @@ class ExperimentConfig:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
         if not 0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if not 0 < self.delay_max_s < math.inf:
+            raise ValueError(f"delay_max_ns must be positive and finite, got {self.delay_max_ns}")
+        if not math.isfinite(math.pi * self.bandwidth_hz * self.delay_max_s):
+            raise ValueError(f"delay_max_ns {self.delay_max_ns} is too large: tone phases overflow")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -121,9 +125,9 @@ def band_average_gain(weights: BeamWeights, channel: ChannelRealization,
     """
     if freq_points < 2:
         raise ValueError("freq_points must be >= 2")
-    freqs = np.linspace(-bandwidth / 2.0, bandwidth / 2.0, freq_points)
+    freqs = even_grid(-bandwidth / 2.0, bandwidth / 2.0, freq_points)
     response = combined_response(weights, channel, array, freqs)
-    return float(np.mean(np.abs(response) ** 2))
+    return float(np.vdot(response, response).real / response.size)
 
 
 @functools.cache
@@ -172,60 +176,45 @@ def _block_streams(seed: int, m: int, lo: int, hi: int):
         yield np.random.Generator(np.random.PCG64(seed_type(state)))
 
 
-def _trial_block(trial, cfg: ExperimentConfig, block) -> np.ndarray:
-    """Results of ``trial`` for one trial range, one row of two per trial.
-
-    Each trial draws its channel from its own stream, then hands the
-    channel and the rest of that stream to ``trial``.
-    """
-    m, lo, hi = block
-    array, fov = cfg.array(), cfg.fov()
-    out = np.empty((hi - lo, 2))
-    for i, rng in enumerate(_block_streams(cfg.seed, m, lo, hi)):
-        out[i] = trial(cfg, array, sample_channel(m, fov, cfg.delay_max_s, rng), rng)
-    return out
-
-
-def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
-    """(ineffective fraction, effective count) of every trial in one block.
-
-    Each trial draws its channel from its own stream; all paths of the
-    block are then classified in one batched pass.
+def _draw_block(cfg: ExperimentConfig, block, blockage: bool = False):
+    """(T, M) amplitudes and (T, M, 3) vectors of a block's channels, each drawn
+    from its own stream, and the channels the beams meet: the drawn ones, or with
+    ``blockage`` less one uniformly chosen component drawn next from that stream.
     """
     m, lo, hi = block
     fov = cfg.fov()
     amplitudes, vectors = np.empty((hi - lo, m), dtype=complex), np.empty((hi - lo, m, 3))
+    applied = []
     for i, rng in enumerate(_block_streams(cfg.seed, m, lo, hi)):
         channel = sample_channel(m, fov, cfg.delay_max_s, rng)
         amplitudes[i], vectors[i] = channel.amplitudes(), channel.direction_matrix()
+        applied.append(remove_component(channel, int(rng.integers(m))) if blockage else channel)
+    return amplitudes, vectors, applied
+
+
+def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
+    """(ineffective fraction, effective count) per trial, in one pass over a block."""
+    m = block[0]
+    amplitudes, vectors, _ = _draw_block(cfg, block)
     interference = cross_beam_interference(cfg.array(), amplitudes, vectors)
     counts = np.count_nonzero(np.abs(amplitudes) >= np.abs(interference), axis=1)
     return np.column_stack([(m - counts) / m, counts])
 
 
-def _beam_snrs(cfg, array, design: ChannelRealization,
-               channel: ChannelRealization) -> list[float]:
-    """Linear band-averaged SNR of the combining and the single beam, both
-    designed on ``design`` and applied to ``channel``."""
-    strongest = Direction(design.direction_matrix()[strongest_component(design)])
-    return [band_average_gain(w, channel, array, cfg.bandwidth_hz, cfg.freq_points)
-            / noise_power(w, cfg.sigma0)
-            for w in (mrc_weights(design, array), single_direction_weights(array, strongest))]
-
-
-def _snr_trial(cfg, array, channel, rng) -> list[float]:
-    return _beam_snrs(cfg, array, channel, channel)
-
-
-def _blockage_trial(cfg, array, channel, rng) -> list[float]:
-    """Post-blockage SNR in dB of beams designed on the full channel.
-
-    One uniformly chosen component is removed, its index drawn after the
-    channel from the same stream, and the unchanged beams are applied to
-    the rest.
-    """
-    blocked = remove_component(channel, int(rng.integers(channel.m_paths)))
-    return [to_db(snr) for snr in _beam_snrs(cfg, array, channel, blocked)]
+def _band_block(blockage: bool, cfg: ExperimentConfig, block) -> np.ndarray:
+    """Band-averaged SNR of both beams per trial of a block, linear or with
+    ``blockage`` in dB; all beams are designed at once on the drawn channels
+    and applied to the channels they meet (see `_draw_block`)."""
+    array = cfg.array()
+    amplitudes, vectors, applied = _draw_block(cfg, block, blockage)
+    coeffs, noise = design_beams(array, amplitudes, vectors, cfg.sigma0)
+    out = np.empty(noise.shape)
+    for i, channel in enumerate(applied):
+        for j, kind in enumerate((BeamKind.MRC, BeamKind.SINGLE_DIRECTION)):
+            snr = band_average_gain(BeamWeights(coeffs[i, j], kind), channel, array,
+                                    cfg.bandwidth_hz, cfg.freq_points) / noise[i, j]
+            out[i, j] = to_db(snr) if blockage else snr
+    return out
 
 
 def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
@@ -289,7 +278,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     theory columns use the exact array parameter.
     """
     s = _array_parameter(cfg)
-    results = _run_trials(functools.partial(_trial_block, _snr_trial), cfg, cfg.m_values)
+    results = _run_trials(functools.partial(_band_block, False), cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
         "single_theory_db", "single_sim_db", "single_sim_stderr_db")}
@@ -319,7 +308,7 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     m = cfg.m_values[0]
     if m < 2:
         raise ValueError("blockage experiment needs at least two paths")
-    results = _run_trials(functools.partial(_trial_block, _blockage_trial), cfg, (m,))
+    results = _run_trials(functools.partial(_band_block, True), cfg, (m,))
     cols, samples = {}, {}
     for kind, snr_db in zip(("mrc", "single"), results[m].T):
         mean, err = _mean_stderr(snr_db)

@@ -12,7 +12,7 @@ from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
                      per_antenna_response, phase_matrix, remove_component,
                      sample_channel, single_direction_weights, steering_vector,
                      strongest_component)
-from mrcbeam.beams import cross_beam_interference
+from mrcbeam.beams import cross_beam_interference, design_beams
 
 FOV180 = FieldOfView.from_degrees(180)
 
@@ -283,6 +283,43 @@ class TestCrossBeamInterference:
             np.testing.assert_allclose(phases, phase_matrix(arr, vecs), rtol=0, atol=1e-12)
 
 
+class TestDesignBeams:
+    """Both beams of stacked channels against one `mrc_weights` and one
+    `single_direction_weights` call per channel."""
+
+    @pytest.mark.parametrize("n, m", [(8, 7), (5, 1)])
+    def test_stack_gives_the_weights_of_single_calls(self, n, m):
+        arr = make_ula(n, 0.5)
+        channels = [_random_channel(m, seed) for seed in range(70, 82)]
+        amplitudes, vectors = TestCrossBeamInterference._stack(channels)
+        coeffs, noise = design_beams(arr, amplitudes, vectors, 0.7)
+        assert coeffs.shape == (len(channels), 2, n) and noise.shape == (len(channels), 2)
+        for ch, (c_mrc, c_single), p in zip(channels, coeffs, noise):
+            strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
+            for c, w, power in ((c_mrc, mrc_weights(ch, arr), p[0]),
+                                (c_single, single_direction_weights(arr, strongest), p[1])):
+                np.testing.assert_allclose(c, w.coefficients, rtol=0, atol=1e-15)
+                assert power == pytest.approx(noise_power(w, 0.7), rel=1e-15)
+
+    @pytest.mark.parametrize("sigma0", [-1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma0):
+        ch = _random_channel(3, seed=83)
+        with pytest.raises(ValueError, match="sigma0"):
+            design_beams(make_ula(4, 0.5), ch.amplitudes()[None], ch.direction_matrix()[None],
+                         sigma0)
+
+    def test_tie_goes_to_the_lowest_index(self):
+        arr = make_ula(6, 0.5)
+        drawn = _random_channel(4, seed=82)
+        amplitudes = np.array([[0.5, 1j, -1.0, 0.3]])            # |a_1| == |a_2|
+        coeffs, _ = design_beams(arr, amplitudes, drawn.direction_matrix()[None], 1.0)
+        tied = ChannelRealization.from_arrays(amplitudes[0], drawn.direction_matrix(),
+                                              drawn.delays())
+        assert strongest_component(tied) == 1
+        steer = single_direction_weights(arr, Direction(drawn.direction_matrix()[1]))
+        np.testing.assert_allclose(coeffs[0, 1], steer.coefficients, rtol=0, atol=1e-15)
+
+
 class TestCombinedResponse:
     def test_mrc_center_frequency_is_total_power(self):
         arr = make_ula(8, 0.5)
@@ -390,6 +427,12 @@ class TestNoisePower:
         w = single_direction_weights(make_ula(2, 0.5), broadside())
         with pytest.raises(ValueError):
             noise_power(w, -1.0)
+
+    @pytest.mark.parametrize("sigma0", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma0):
+        w = single_direction_weights(make_ula(2, 0.5), broadside())
+        with pytest.raises(ValueError, match="sigma0"):
+            noise_power(w, sigma0)
 
     def test_mrc_expectation_scales_with_path_count(self):
         m, n, trials = 4, 8, 10_000

@@ -11,7 +11,7 @@ from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfVie
                      make_ula, per_antenna_response, remove_component,
                      run_blockage_experiment, run_effectiveness_sweep, run_snr_sweep,
                      sample_channel)
-from mrcbeam.channel import tone_sum
+from mrcbeam.channel import even_grid, tone_sum
 
 
 def _component(alpha, theta=0.0, delay=0.0):
@@ -196,6 +196,23 @@ class TestToneSum:
     def test_uneven_or_single_point_grid_is_direct(self, f):
         ch, gains = self._channel(5), self._gains((3, 5))
         assert tone_sum(gains, ch, f).tobytes() == self._direct(gains, ch, f).tobytes()
+
+
+class TestEvenGrid:
+    """The cached band grid that `band_average_gain` hands to `tone_sum`."""
+
+    @pytest.mark.parametrize("n", [2, 3, 1024])
+    @pytest.mark.parametrize("bandwidth", [1e9, 3.7e6, 0.0])
+    def test_read_only_and_same_bytes_as_linspace(self, bandwidth, n):
+        # -0.0 == 0.0, so zero grids would share one cache entry if signs were ignored;
+        # np.linspace(0.0, -0.0, n) ends in -0.0, the others do not
+        for lo, hi in ((0.0, -0.0), (0.0, 0.0), (-bandwidth / 2, bandwidth / 2)):
+            grid = even_grid(lo, hi, n)
+            assert grid.tobytes() == np.linspace(lo, hi, n).tobytes()
+            assert even_grid(lo, hi, n) is grid
+            assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
 
 
 class TestResponse:

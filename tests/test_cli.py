@@ -200,6 +200,7 @@ def _fails_with_one_error_line(argv, capsys):
 class TestBadInput:
     @pytest.mark.parametrize("flags", [
         ["--sigma0", "0"], ["--bandwidth", "1e400"], ["--delay-max-ns", "1e400"],
+        ["--delay-max-ns", "1e308"],            # finite delay, the tone phases overflow
     ])
     def test_bad_experiment_config(self, flags, capsys):
         _fails_with_one_error_line(["snr-sweep", "--elements", "2", "--m-max", "2",

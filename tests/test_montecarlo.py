@@ -5,7 +5,7 @@ import pytest
 
 from mrcbeam import (BeamKind, BeamWeights, ChannelRealization, Direction,
                      ExperimentConfig, FieldOfView, MultipathComponent,
-                     band_average_gain, classify_effectiveness, make_ula,
+                     band_average_gain, classify_effectiveness, combined_response, make_ula,
                      mrc_weights, noise_power, remove_component,
                      run_blockage_experiment, run_effectiveness_sweep,
                      run_snr_sweep, sample_channel, single_direction_weights,
@@ -60,6 +60,12 @@ class TestConfig:
         dict(n_elements=8, m_values=(2,), sigma0=float("inf")),
         dict(n_elements=8, m_values=(2,), sigma0=float("nan")),
         dict(n_elements=8, m_values=(2,), workers=0),
+        dict(n_elements=8, m_values=(2,), delay_max_ns=0.0),
+        dict(n_elements=8, m_values=(2,), delay_max_ns=-1.0),
+        dict(n_elements=8, m_values=(2,), delay_max_ns=float("inf")),
+        dict(n_elements=8, m_values=(2,), delay_max_ns=float("nan")),
+        dict(n_elements=8, m_values=(2,), delay_max_ns=5e-324),     # 0 s after conversion
+        dict(n_elements=8, m_values=(2,), delay_max_ns=1e308),      # tone phases overflow
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -122,6 +128,44 @@ class TestBlockStreams:
             assert res.columns["p_ineff_stderr"][i] == fracs.std(ddof=1) / np.sqrt(cfg.trials)
             assert res.columns["count_mean"][i] == counts.mean()
             assert res.columns["count_median"][i] == np.median(counts)
+
+
+class TestBandBlock:
+    """Both band-averaging experiments against a per-trial loop of single calls."""
+
+    @staticmethod
+    def _trial_snrs(cfg, m, blockage):
+        """(trials, 2) linear SNRs of the combining and the strongest-path beam."""
+        arr, fov = cfg.array(), cfg.fov()
+        freqs = np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, cfg.freq_points)
+        out = np.empty((cfg.trials, 2))
+        for t in range(cfg.trials):
+            rng = trial_rng(cfg.seed, (m, t))
+            ch = sample_channel(m, fov, cfg.delay_max_s, rng)
+            applied = remove_component(ch, int(rng.integers(m))) if blockage else ch
+            strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
+            for j, w in enumerate((mrc_weights(ch, arr), single_direction_weights(arr, strongest))):
+                out[t, j] = (np.mean(np.abs(combined_response(w, applied, arr, freqs)) ** 2)
+                             / noise_power(w, cfg.sigma0))
+        return out
+
+    def test_snr_sweep_matches_per_trial_loop(self):
+        # 300 trials: a full block of 256 and a partial one
+        cfg = ExperimentConfig(n_elements=6, m_values=(1, 5), trials=300, seed=29, sigma0=0.7)
+        res = run_snr_sweep(cfg)
+        for i, m in enumerate(cfg.m_values):
+            for kind, lin in zip(("mrc", "single"), self._trial_snrs(cfg, m, False).T):
+                mean, err = lin.mean(), lin.std(ddof=1) / np.sqrt(cfg.trials)
+                assert res.columns[f"{kind}_sim_db"][i] == pytest.approx(to_db(mean), rel=1e-12)
+                assert res.columns[f"{kind}_sim_stderr_db"][i] == pytest.approx(
+                    10 / np.log(10) * err / mean, rel=1e-12)
+
+    def test_blockage_matches_per_trial_loop(self):
+        cfg = ExperimentConfig(n_elements=6, m_values=(5,), trials=300, seed=31, sigma0=0.7)
+        res = run_blockage_experiment(cfg)
+        for kind, lin in zip(("mrc", "single"), self._trial_snrs(cfg, 5, True).T):
+            np.testing.assert_allclose(res.samples[kind], np.sort(10 * np.log10(lin)),
+                                       rtol=1e-12, atol=0)
 
 
 class TestBandAverageGain:
