@@ -153,20 +153,18 @@ def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
     return factor - np.conj(amplitudes)
 
 
-def design_beams(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray,
-                 sigma0: float) -> tuple[np.ndarray, np.ndarray]:
+def design_beams(array: AntennaArray, amplitudes: np.ndarray,
+                 vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both beams of stacked channels with (..., M) amplitudes and (..., M, 3) vectors.
 
     Returns (..., 2, N) coefficients, `mrc_weights` then `single_direction_weights`
-    toward `strongest_component`, and their (..., 2) `noise_power` at ``sigma0``.
+    toward `strongest_component`, and their (..., 2) `noise_power` at unit sigma0.
     """
-    if not 0 <= sigma0 < np.inf:                  # also rejects NaN
-        raise ValueError(f"sigma0 must be >= 0 and finite, got {sigma0}")
     s, h0 = _center_response(array, amplitudes, vectors)
     strongest = np.argmax(np.abs(amplitudes), axis=-1)          # ties: lowest index
     steer = np.take_along_axis(s, strongest[..., None, None], axis=-1)[..., 0]
     coeffs = np.conj(np.stack([h0, steer], axis=-2)) / array.n_elements
-    return coeffs, sigma0 ** 2 * np.einsum("...n,...n->...", coeffs, coeffs.conj()).real
+    return coeffs, np.einsum("...n,...n->...", coeffs, coeffs.conj()).real
 
 
 def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) -> complex:

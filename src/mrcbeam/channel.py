@@ -78,11 +78,13 @@ class ChannelRealization:
             raise ValueError(f"delays must be >= 0, got {delays}")
         self._keep(amplitudes, vectors, delays)
 
-    def _keep(self, amplitudes: np.ndarray, vectors: np.ndarray, delays: np.ndarray) -> None:
-        """Freeze and keep valid arrays that no one else holds."""
+    def _keep(self, amplitudes: np.ndarray, vectors: np.ndarray,
+              delays: np.ndarray) -> "ChannelRealization":
+        """Freeze and keep valid arrays that no one else holds; returns the channel."""
         for arr in (amplitudes, vectors, delays):
             arr.setflags(write=False)
         self._amplitudes, self._vectors, self._delays = amplitudes, vectors, delays
+        return self
 
     def __reduce__(self):
         # pickling and copying rebuild through the same validation
@@ -125,7 +127,9 @@ def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
     thetas = fov.sample_angles(rng, m_paths)
     alphas = (rng.standard_normal(m_paths) + 1j * rng.standard_normal(m_paths)) / np.sqrt(2.0)
     delays = rng.uniform(0.0, delay_max, m_paths)
-    return ChannelRealization.from_arrays(alphas, fov.direction_at(thetas), delays)
+    # fresh draws from a checked field of view and delay range are valid: no re-check
+    return ChannelRealization.__new__(ChannelRealization)._keep(
+        alphas, fov.direction_at(thetas), delays)
 
 
 def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) -> np.ndarray:
@@ -195,11 +199,9 @@ def remove_component(channel: ChannelRealization, index: int) -> ChannelRealizat
     if not 0 <= index < channel.m_paths:
         raise ValueError(f"component index {index} out of range for M={channel.m_paths}")
     kept = np.arange(channel.m_paths) != index
-    blocked = ChannelRealization.__new__(ChannelRealization)
     # masked copies of a validated channel's arrays are valid: no re-check
-    blocked._keep(channel.amplitudes()[kept], channel.direction_matrix()[kept],
-                  channel.delays()[kept])
-    return blocked
+    return ChannelRealization.__new__(ChannelRealization)._keep(
+        channel.amplitudes()[kept], channel.direction_matrix()[kept], channel.delays()[kept])
 
 
 def channel_to_json(channel: ChannelRealization) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +124,8 @@ def band_average_gain(weights: BeamWeights, channel: ChannelRealization,
     """
     if freq_points < 2:
         raise ValueError("freq_points must be >= 2")
+    if not 0 <= bandwidth < math.inf:             # also rejects NaN
+        raise ValueError(f"bandwidth must be >= 0 and finite, got {bandwidth}")
     freqs = even_grid(-bandwidth / 2.0, bandwidth / 2.0, freq_points)
     response = combined_response(weights, channel, array, freqs)
     return float(np.vdot(response, response).real / response.size)
@@ -202,18 +203,17 @@ def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
 
 
 def _band_block(blockage: bool, cfg: ExperimentConfig, block) -> np.ndarray:
-    """Band-averaged SNR of both beams per trial of a block, linear or with
-    ``blockage`` in dB; all beams are designed at once on the drawn channels
-    and applied to the channels they meet (see `_draw_block`)."""
+    """Linear band-averaged SNR at unit noise of both beams per trial of a block;
+    all beams are designed at once on the drawn channels and applied to the
+    channels they meet, with ``blockage`` less one path (see `_draw_block`)."""
     array = cfg.array()
     amplitudes, vectors, applied = _draw_block(cfg, block, blockage)
-    coeffs, noise = design_beams(array, amplitudes, vectors, cfg.sigma0)
+    coeffs, noise = design_beams(array, amplitudes, vectors)
     out = np.empty(noise.shape)
     for i, channel in enumerate(applied):
         for j, kind in enumerate((BeamKind.MRC, BeamKind.SINGLE_DIRECTION)):
-            snr = band_average_gain(BeamWeights(coeffs[i, j], kind), channel, array,
-                                    cfg.bandwidth_hz, cfg.freq_points) / noise[i, j]
-            out[i, j] = to_db(snr) if blockage else snr
+            out[i, j] = band_average_gain(BeamWeights(coeffs[i, j], kind), channel, array,
+                                          cfg.bandwidth_hz, cfg.freq_points) / noise[i, j]
     return out
 
 
@@ -231,6 +231,7 @@ def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarr
     if workers == 1:
         outputs = [fn(b) for b in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(fn, blocks))
     return {m: np.concatenate([out for b, out in zip(blocks, outputs) if b[0] == m])
@@ -250,7 +251,7 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
     Empirical values average over every (trial, path) pair; the theory
     columns use the exact array parameter, so they do not depend on the seed.
     """
-    s = _array_parameter(cfg)
+    s = exact_array_parameter(cfg.array(), cfg.fov())
     results = _run_trials(_effectiveness_block, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr",
@@ -275,9 +276,11 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     Per-trial linear SNRs are averaged in linear scale, then converted
     to dB; averaging per-trial dB values would bias the result low. The
-    theory columns use the exact array parameter.
+    theory columns use the exact array parameter. Everything is computed at
+    unit noise; sigma0 enters once, as a dB offset of every SNR column.
     """
-    s = _array_parameter(cfg)
+    s = exact_array_parameter(cfg.array(), cfg.fov())
+    noise_db = 20.0 * math.log10(cfg.sigma0)
     results = _run_trials(functools.partial(_band_block, False), cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
@@ -285,11 +288,11 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     for m in cfg.m_values:
         mrc_lin, single_lin = results[m].T
         for prefix, lin, theory in (
-                ("mrc", mrc_lin, snr_mrc_theory(cfg.n_elements, m, s, cfg.sigma0)),
-                ("single", single_lin, snr_single_theory(cfg.n_elements, m, s, cfg.sigma0))):
+                ("mrc", mrc_lin, snr_mrc_theory(cfg.n_elements, m, s, 1.0)),
+                ("single", single_lin, snr_single_theory(cfg.n_elements, m, s, 1.0))):
             mean, err = _mean_stderr(lin)
-            cols[f"{prefix}_theory_db"].append(to_db(theory))
-            cols[f"{prefix}_sim_db"].append(to_db(mean))
+            cols[f"{prefix}_theory_db"].append(to_db(theory) - noise_db)
+            cols[f"{prefix}_sim_db"].append(to_db(mean) - noise_db)
             # delta-method conversion of the linear-scale standard error
             cols[f"{prefix}_sim_stderr_db"].append(float(10.0 / np.log(10.0) * err / mean))
     return SweepResult(cfg.m_values, cfg.trials,
@@ -301,25 +304,20 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
 
     Requires a single entry in ``m_values`` with at least two paths, so a
     component can be removed. Returns the full sorted per-trial SNR lists
-    in dB under the ``samples`` keys "mrc" and "single".
+    in dB under the ``samples`` keys "mrc" and "single": each trial's SNR at
+    unit noise in dB, less the noise power 20 log10(sigma0) dB.
     """
     if len(cfg.m_values) != 1:
         raise ValueError("blockage experiment expects exactly one m value")
     m = cfg.m_values[0]
     if m < 2:
         raise ValueError("blockage experiment needs at least two paths")
+    noise_db = 20.0 * math.log10(cfg.sigma0)
     results = _run_trials(functools.partial(_band_block, True), cfg, (m,))
     cols, samples = {}, {}
-    for kind, snr_db in zip(("mrc", "single"), results[m].T):
+    for kind, lin in zip(("mrc", "single"), results[m].T):
+        snr_db = 10.0 * np.log10(lin) - noise_db
         mean, err = _mean_stderr(snr_db)
         cols[f"{kind}_mean_db"], cols[f"{kind}_stderr_db"] = (mean,), (err,)
         samples[kind] = tuple(float(x) for x in np.sort(snr_db))
     return SweepResult((m,), cfg.trials, cols, samples)
-
-
-def _array_parameter(cfg: ExperimentConfig) -> float:
-    """Exact array parameter of the configured array and field of view.
-
-    Computed by quadrature, so it draws nothing and no seed affects it.
-    """
-    return exact_array_parameter(cfg.array(), cfg.fov())

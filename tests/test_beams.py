@@ -292,27 +292,20 @@ class TestDesignBeams:
         arr = make_ula(n, 0.5)
         channels = [_random_channel(m, seed) for seed in range(70, 82)]
         amplitudes, vectors = TestCrossBeamInterference._stack(channels)
-        coeffs, noise = design_beams(arr, amplitudes, vectors, 0.7)
+        coeffs, noise = design_beams(arr, amplitudes, vectors)
         assert coeffs.shape == (len(channels), 2, n) and noise.shape == (len(channels), 2)
         for ch, (c_mrc, c_single), p in zip(channels, coeffs, noise):
             strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
             for c, w, power in ((c_mrc, mrc_weights(ch, arr), p[0]),
                                 (c_single, single_direction_weights(arr, strongest), p[1])):
                 np.testing.assert_allclose(c, w.coefficients, rtol=0, atol=1e-15)
-                assert power == pytest.approx(noise_power(w, 0.7), rel=1e-15)
-
-    @pytest.mark.parametrize("sigma0", [-1.0, float("nan"), float("inf")])
-    def test_bad_sigma_rejected(self, sigma0):
-        ch = _random_channel(3, seed=83)
-        with pytest.raises(ValueError, match="sigma0"):
-            design_beams(make_ula(4, 0.5), ch.amplitudes()[None], ch.direction_matrix()[None],
-                         sigma0)
+                assert power == pytest.approx(noise_power(w, 1.0), rel=1e-15)
 
     def test_tie_goes_to_the_lowest_index(self):
         arr = make_ula(6, 0.5)
         drawn = _random_channel(4, seed=82)
         amplitudes = np.array([[0.5, 1j, -1.0, 0.3]])            # |a_1| == |a_2|
-        coeffs, _ = design_beams(arr, amplitudes, drawn.direction_matrix()[None], 1.0)
+        coeffs, _ = design_beams(arr, amplitudes, drawn.direction_matrix()[None])
         tied = ChannelRealization.from_arrays(amplitudes[0], drawn.direction_matrix(),
                                               drawn.delays())
         assert strongest_component(tied) == 1

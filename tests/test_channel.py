@@ -60,6 +60,24 @@ class TestSampling:
         assert ch.delays().tobytes() == delays.tobytes()
         assert rng.bit_generator.state == direct.bit_generator.state
 
+    def test_equals_from_arrays_build_without_revalidating(self, monkeypatch):
+        fov = FieldOfView.from_degrees(120)
+        rng = np.random.default_rng(12)
+        thetas = fov.sample_angles(rng, 6)
+        alphas = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2.0)
+        expected = ChannelRealization.from_arrays(alphas, fov.direction_at(thetas),
+                                                  rng.uniform(0.0, 80e-9, 6))
+
+        def forbidden(*args):
+            raise AssertionError("freshly drawn arrays were validated again")
+
+        monkeypatch.setattr(ChannelRealization, "_store", forbidden)
+        drawn = sample_channel(6, fov, 80e-9, np.random.default_rng(12))
+        for get in ("amplitudes", "direction_matrix", "delays"):
+            a, b = getattr(drawn, get)(), getattr(expected, get)()
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
     def test_directions_inside_fov(self):
         fov = FieldOfView.from_degrees(120)
         ch = sample_channel(5000, fov, 1e-9, np.random.default_rng(2))

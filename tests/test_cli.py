@@ -1,11 +1,16 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrcbeam
 import mrcbeam.cli
-import mrcbeam.montecarlo
 from mrcbeam import ArrayParameterEstimate, channel_from_json
 from mrcbeam.cli import main, parse_args
 from mrcbeam.output import parse_frequency, write_csv
@@ -246,6 +251,59 @@ class TestBadInput:
                      "--output", str(tmp_path / "p.csv")]) == 0
 
 
+_FLOATS = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e300")
+_INTS = ("0", "-1")
+_EXPERIMENT_FLOATS = ("--spacing", "--fov-deg", "--delay-max-ns", "--bandwidth", "--sigma0")
+_EXPERIMENT_INTS = ("--seed", "--trials", "--workers", "--elements", "--freq-points")
+_SIZES = ("--elements", "4", "--trials", "3", "--freq-points", "16")
+# command -> (base argv, float flags, int flags): every numeric flag of every command
+_NUMERIC_FLAGS = {
+    "array-param": (("--elements", "4", "--samples", "100"),
+                    ("--spacing", "--fov-deg"), ("--seed", "--elements", "--samples")),
+    **{command: (_SIZES, _EXPERIMENT_FLOATS, _EXPERIMENT_INTS + ("--m-min", "--m-max"))
+       for command in ("ineffectiveness", "effective-components", "snr-sweep")},
+    "blockage-cdf": (_SIZES, _EXPERIMENT_FLOATS, _EXPERIMENT_INTS + ("--m-paths",)),
+    "beam-pattern": (("--elements", "4"), ("--spacing", "--grid-deg"), ("--elements",)),
+    "dump-channel": ((), ("--fov-deg", "--delay-max-ns"), ("--seed", "--m-paths")),
+}
+# A --grid-deg below about 1e-3 asks for a gigantic angle grid, so it is left out.
+_BOUNDARY_CASES = [
+    (command, flag, value)
+    for command, (_, floats, ints) in _NUMERIC_FLAGS.items()
+    for flags, values in ((floats, _FLOATS), (ints, _INTS))
+    for flag in flags for value in values
+    if not (flag == "--grid-deg" and 0 < float(value) < 1e-3)]
+
+
+@pytest.mark.parametrize("command, flag, value", _BOUNDARY_CASES,
+                         ids=[f"{c} {f}={v}" for c, f, v in _BOUNDARY_CASES])
+def test_numeric_flag_boundary(command, flag, value, tmp_path, capsys):
+    """Every numeric flag at its edges: finite output and exit 0, or one error line
+    and exit 1; never a traceback or a warning."""
+    argv = [command, *_NUMERIC_FLAGS[command][0], f"{flag}={value}"]
+    if command == "beam-pattern":
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"components": [_GOOD_COMPONENT]}))
+        argv += ["--channel-file", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and "nan" not in out.lower() and "inf" not in out.lower()
+    else:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("mrcbeam: error: ")
+
+
+def test_cli_import_starts_no_multiprocessing():
+    src = str(Path(mrcbeam.__file__).resolve().parents[1])
+    code = "import sys, mrcbeam.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def _refuse_constant(name):
     raise ValueError(f"not standard JSON: {name}")
 
@@ -321,7 +379,7 @@ class TestDeterministicOutput:
                          "--workers", str(workers), "--output", str(path)]) == 0
             return path.read_bytes()
 
-        monkeypatch.setattr(mrcbeam.montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         assert run(200, 4) == run(200, 1)       # one block of 256 trials
         assert sizes == []
         assert run(300, 16) == run(300, 1)      # two blocks

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,15 @@ class TestBandAverageGain:
         from mrcbeam import combined_response
         center = abs(combined_response(w, ch, arr, 0.0)) ** 2
         assert band_average_gain(w, ch, arr, 0.0, 16) == pytest.approx(center, rel=1e-12)
+
+    @pytest.mark.parametrize("bandwidth", [-1e9, -1e-300, float("inf"), float("nan")])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        arr = make_ula(4, 0.5)
+        ch = sample_channel(3, FOV180, 100e-9, np.random.default_rng(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # no RuntimeWarning from the grid first
+            with pytest.raises(ValueError, match="bandwidth"):
+                band_average_gain(mrc_weights(ch, arr), ch, arr, bandwidth, 16)
 
     def test_one_point_rejected(self):
         # one point would be the band-edge power, not an average over the band
