@@ -202,10 +202,16 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
 
 
 def noise_power(weights: BeamWeights, sigma0: float) -> float:
-    """Output noise variance for per-antenna noise std ``sigma0``."""
-    if not 0 <= sigma0 < np.inf:                  # also rejects NaN
-        raise ValueError(f"sigma0 must be >= 0 and finite, got {sigma0}")
-    return float(sigma0 ** 2 * np.vdot(weights.coefficients, weights.coefficients).real)
+    """Output noise variance for per-antenna noise std ``sigma0`` >= 0; refuses a sigma0
+    for which it is not finite, or is 0 while the weights are not."""
+    gain = float(np.vdot(weights.coefficients, weights.coefficients).real)
+    try:
+        power = float(sigma0) ** 2 * gain
+    except OverflowError:                         # sigma0^2 overflows
+        power = np.inf
+    if not (sigma0 >= 0 and power < np.inf) or (power == 0 and gain != 0):   # also NaN
+        raise ValueError(f"sigma0 must be >= 0 with a finite, nonzero noise power, got {sigma0}")
+    return power
 
 
 def pattern_gain_db(weights: BeamWeights, array: AntennaArray,

@@ -17,6 +17,7 @@ import numpy as np
 from .geometry import _UNIT_TOL, AntennaArray, Direction, FieldOfView, phase_matrix
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,8 @@ def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
     if not 0 < delay_max < math.inf:
         raise ValueError(f"delay_max must be positive and finite, got {delay_max}")
     thetas = fov.sample_angles(rng, m_paths)
-    alphas = (rng.standard_normal(m_paths) + 1j * rng.standard_normal(m_paths)) / np.sqrt(2.0)
+    parts = rng.standard_normal(2 * m_paths)       # the real parts, then the imaginary ones
+    alphas = (parts[:m_paths] + 1j * parts[m_paths:]) / _SQRT2
     delays = rng.uniform(0.0, delay_max, m_paths)
     # fresh draws from a checked field of view and delay range are valid: no re-check
     return ChannelRealization.__new__(ChannelRealization)._keep(

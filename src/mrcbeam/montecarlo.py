@@ -26,8 +26,9 @@ from .theory import (effective_count, estimate_array_parameter,
                      snr_mrc_theory, snr_single_theory, to_db)
 
 _TRIAL_BLOCK = 256
-# SeedSequence's output hash, which `_block_streams` runs for a whole block
-_MASK32, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x8B51F9DD, 0x58F38DED
+# SeedSequence's entropy mixing (A, L, R) and output hash (B), run over a block at once
+_MASK32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 
 
 @dataclass(frozen=True)
@@ -156,22 +157,45 @@ def _words(n: int) -> list[int]:
     return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
+def _hasher(init: int, mult: int):
+    """SeedSequence's ``hashmix`` over uint32 arrays; its constant steps on every call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, (const * mult) & _MASK32
+        value = value * const                       # uint32 arrays wrap modulo 2**32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _block_pools(prefix: list[int], lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, 4) uint32 ``SeedSequence(prefix + _words(t)).pool`` for t in [lo, hi)."""
+    if lo < 1 << 32 < hi:        # one pass mixes rows of one length; t >= 2**32 has two words
+        return np.concatenate([_block_pools(prefix, lo, 1 << 32),
+                               _block_pools(prefix, 1 << 32, hi)])
+    t, hashmix = np.arange(lo, hi, dtype=np.uint64), _hasher(_INIT_A, _MULT_A)
+    words = ([np.full(hi - lo, w, np.uint32) for w in prefix]
+             + [(t >> shift).astype(np.uint32) for shift in range(0, max(lo.bit_length(), 1), 32)])
+    pool = [hashmix(words[i] if i < len(words) else 0 * words[0]) for i in range(4)]
+    # mix each pool word into the others, then each entropy word beyond the pool into all
+    for src in range(max(4, len(words))):
+        for dst in (d for d in range(4) if d != src):
+            x = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else words[src]) * _MIX_R
+            pool[dst] = x ^ (x >> 16)
+    return np.stack(pool, axis=1)
+
+
 def _block_streams(seed: int, m: int, lo: int, hi: int):
     """The streams ``trial_rng(seed, (m, t))`` for t in [lo, hi), same draws.
 
-    numpy mixes each trial's entropy into its pool, as it does for a list of
-    ints; the output step of ``SeedSequence.generate_state(4, uint64)`` then
-    runs once for the block. Each Generator is built when it is asked for.
+    numpy's ``SeedSequence`` runs once over the block: each trial's entropy
+    ``[seed mod 2**64, m, t]`` is mixed into its pool, then ``generate_state(4,
+    uint64)`` hashes the pools. Each Generator is built when it is asked for.
     """
-    prefix = _words(seed % (1 << 64)) + _words(m)
-    pools = np.array([np.random.SeedSequence(np.array(prefix + _words(t), dtype=np.uint32)).pool
-                      for t in range(lo, hi)], dtype=np.uint32).reshape(hi - lo, 4)
-    words, hash_const = np.empty((hi - lo, 8), dtype=np.uint32), _INIT_B
-    for i in range(8):
-        w = pools[:, i % 4] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        w = w * hash_const                  # uint32 arrays wrap modulo 2**32
-        words[:, i] = w ^ (w >> 16)
+    pools = _block_pools(_words(seed % (1 << 64)) + _words(m), lo, hi)
+    out = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([out(pools[:, i % 4]) for i in range(8)], axis=1)
     seed_type = _stream_seed_type()
     for state in words.astype("<u4").view("<u8").astype(np.uint64):
         yield np.random.Generator(np.random.PCG64(seed_type(state)))
@@ -266,7 +290,9 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
         cols["count_theory"].append(effective_count(m, s))
         cols["count_mean"].append(c_mean)
         cols["count_stderr"].append(c_err)
-        cols["count_median"].append(float(np.median(counts)))
+        # np.median of the counts, without the numpy.ma import that np.median makes
+        middle = np.sort(counts)[[(counts.size - 1) // 2, counts.size // 2]]
+        cols["count_median"].append(float(middle.mean()))
     return SweepResult(cfg.m_values, cfg.trials,
                        {k: tuple(v) for k, v in cols.items()})
 

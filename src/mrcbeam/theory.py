@@ -178,7 +178,7 @@ def snr_mrc_theory(n_elements: int, m_paths: int, s: float, sigma0: float) -> fl
     where the true narrowband gain is N.
     """
     _check_snr_args(n_elements, m_paths, sigma0)
-    return (n_elements / sigma0 ** 2) * (2.0 + (m_paths - 1) * s)
+    return _per_noise(n_elements, sigma0, 2.0 + (m_paths - 1) * s)
 
 
 def snr_single_theory(n_elements: int, m_paths: int, s: float, sigma0: float,
@@ -196,7 +196,7 @@ def snr_single_theory(n_elements: int, m_paths: int, s: float, sigma0: float,
         peak = harmonic_number(m_paths)
     else:
         raise ValueError(f"harmonic_mode must be 'asymptotic' or 'exact', got {harmonic_mode!r}")
-    return (n_elements / sigma0 ** 2) * (peak + (m_paths - 1) * s)
+    return _per_noise(n_elements, sigma0, peak + (m_paths - 1) * s)
 
 
 def snr_ratio_theory(m_paths: int, s: float) -> float:
@@ -230,3 +230,14 @@ def _check_snr_args(n_elements: int, m_paths: int, sigma0: float) -> None:
         raise ValueError(f"m_paths must be >= 1, got {m_paths}")
     if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
+
+
+def _per_noise(n_elements: int, sigma0: float, gain: float) -> float:
+    """(N / sigma0^2) * gain; refuses a sigma0 that makes it non-finite, or 0 for a nonzero gain."""
+    try:
+        snr = (float(n_elements) / float(sigma0) ** 2) * float(gain)   # floats: no numpy warnings
+    except (OverflowError, ZeroDivisionError):          # sigma0^2 overflows or is 0
+        snr = math.nan
+    if not math.isfinite(snr) or (snr == 0 and gain != 0):
+        raise ValueError(f"sigma0 must give a finite, nonzero SNR, got {sigma0}")
+    return snr

@@ -415,6 +415,7 @@ class TestNoisePower:
         from mrcbeam import BeamKind, BeamWeights
         w = BeamWeights(np.zeros(4, dtype=complex), BeamKind.MRC)
         assert noise_power(w, 1.0) == 0.0
+        assert noise_power(w, 1e-200) == 0.0      # 0 is their power at any sigma0
 
     def test_negative_sigma_rejected(self):
         w = single_direction_weights(make_ula(2, 0.5), broadside())
@@ -426,6 +427,20 @@ class TestNoisePower:
         w = single_direction_weights(make_ula(2, 0.5), broadside())
         with pytest.raises(ValueError, match="sigma0"):
             noise_power(w, sigma0)
+
+    @pytest.mark.parametrize("sigma0", [1e200, 1e-200, 5e-324, 0.0, np.float64(1e200)])
+    def test_sigma_without_finite_nonzero_power_rejected(self, sigma0):
+        w = single_direction_weights(make_ula(2, 0.5), broadside())
+        with pytest.raises(ValueError, match="sigma0"):
+            noise_power(w, sigma0)
+
+    @pytest.mark.parametrize("sigma0", [0.7, 1.0, 3.3])
+    def test_value_is_sigma_squared_times_weight_power(self, sigma0):
+        arr = make_ula(5, 0.5)
+        ch = ChannelRealization((_component(0.3 + 1.1j, 0.2), _component(-0.8j, -0.9)))
+        w = mrc_weights(ch, arr)
+        expected = float(sigma0 ** 2 * np.vdot(w.coefficients, w.coefficients).real)
+        assert noise_power(w, sigma0) == expected
 
     def test_mrc_expectation_scales_with_path_count(self):
         m, n, trials = 4, 8, 10_000

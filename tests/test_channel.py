@@ -60,6 +60,22 @@ class TestSampling:
         assert ch.delays().tobytes() == delays.tobytes()
         assert rng.bit_generator.state == direct.bit_generator.state
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 20, 101])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    def test_one_normal_draw_equals_two_calls(self, m, seed):
+        # the real and imaginary parts come from one call; the draws and the
+        # generator state afterwards are those of one call per part
+        fov = FieldOfView.from_degrees(180)
+        rng, direct = np.random.default_rng(seed), np.random.default_rng(seed)
+        ch = sample_channel(m, fov, 100e-9, rng)
+        fov.sample_angles(direct, m)
+        re, im = direct.standard_normal(m), direct.standard_normal(m)
+        delays = direct.uniform(0.0, 100e-9, m)
+        assert ch.amplitudes().tobytes() == ((re + 1j * im) / np.sqrt(2.0)).tobytes()
+        assert ch.delays().tobytes() == delays.tobytes()
+        assert rng.bit_generator.state == direct.bit_generator.state
+        assert rng.standard_normal(3).tobytes() == direct.standard_normal(3).tobytes()
+
     def test_equals_from_arrays_build_without_revalidating(self, monkeypatch):
         fov = FieldOfView.from_degrees(120)
         rng = np.random.default_rng(12)

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrcbeam
 from mrcbeam import (BeamKind, BeamWeights, ChannelRealization, Direction,
                      ExperimentConfig, FieldOfView, MultipathComponent,
                      band_average_gain, classify_effectiveness, combined_response, make_ula,
@@ -11,7 +16,7 @@ from mrcbeam import (BeamKind, BeamWeights, ChannelRealization, Direction,
                      run_blockage_experiment, run_effectiveness_sweep,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
-from mrcbeam.montecarlo import _block_streams
+from mrcbeam.montecarlo import _block_pools, _block_streams, _words
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -109,6 +114,25 @@ class TestBlockStreams:
             np.testing.assert_array_equal(rng.standard_normal(8), oracle.standard_normal(8))
             assert rng.integers(1 << 40) == oracle.integers(1 << 40)
 
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("m", [1, 20, 2**32])
+    @pytest.mark.parametrize("lo, hi", [(0, 256), (256, 512), (2**32 - 100, 2**32 + 156),
+                                        (41, 42)])
+    def test_block_pools_match_seed_sequence(self, seed, m, lo, hi):
+        # entropy of 3 to 6 words: shorter than the pool, as long, and longer
+        prefix = _words(seed % (1 << 64)) + _words(m)
+        pools = _block_pools(prefix, lo, hi)
+        expected = [np.random.SeedSequence(np.array(prefix + _words(t), dtype=np.uint32)).pool
+                    for t in range(lo, hi)]
+        assert pools.dtype == np.uint32
+        np.testing.assert_array_equal(pools, np.array(expected, dtype=np.uint32))
+
+    def test_block_builds_no_seed_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block stream built a SeedSequence")
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert len(list(_block_streams(3, 4, 2**32 - 2, 2**32 + 2))) == 4
+
     @pytest.mark.parametrize("n_words, dtype", [(8, np.uint64), (4, np.uint32), (2, np.uint64)])
     def test_seed_source_refuses_other_requests(self, n_words, dtype):
         seed_seq = next(_block_streams(0, 1, 0, 1)).bit_generator.seed_seq
@@ -129,6 +153,19 @@ class TestBlockStreams:
             assert res.columns["p_ineff_stderr"][i] == fracs.std(ddof=1) / np.sqrt(cfg.trials)
             assert res.columns["count_mean"][i] == counts.mean()
             assert res.columns["count_median"][i] == np.median(counts)
+
+
+def test_effectiveness_run_imports_no_numpy_ma(tmp_path):
+    # np.median would import numpy.ma, which costs more than the median itself
+    src = str(Path(mrcbeam.__file__).resolve().parents[1])
+    code = ("import sys\nfrom mrcbeam.cli import main\n"
+            "main(['ineffectiveness', '--elements', '4', '--m-max', '4', '--trials', '6',\n"
+            f"      '--format', 'json', '--output', {str(tmp_path / 'out.json')!r}])\n"
+            "sys.exit('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert (tmp_path / "out.json").stat().st_size > 0
 
 
 class TestBandBlock:

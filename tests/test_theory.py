@@ -249,6 +249,18 @@ class TestSnrTheory:
         base = snr_mrc_theory(8, 5, 0.17, 1.0)
         assert snr_mrc_theory(8, 5, 0.17, np.sqrt(2.0)) == pytest.approx(base / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma0", [1e200, 1e-200, 5e-324, float("inf")])
+    @pytest.mark.parametrize("snr", [snr_mrc_theory, snr_single_theory])
+    def test_sigma_without_finite_nonzero_snr_rejected(self, snr, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            snr(8, 6, 0.16, sigma0)
+
+    @pytest.mark.parametrize("sigma0", [0.7, 1.0, 3.3])
+    def test_values_at_ordinary_sigma(self, sigma0):
+        assert snr_mrc_theory(8, 6, 0.16, sigma0) == (8 / sigma0 ** 2) * (2.0 + 5 * 0.16)
+        assert snr_single_theory(8, 6, 0.16, sigma0) == \
+            (8 / sigma0 ** 2) * (math.log(6) + EULER_GAMMA + 5 * 0.16)
+
     def test_reference_mrc_line(self):
         s = 10 ** (REFERENCE_SNR_MRC_8[1] / 10) / 8 - 2
         for m, expected in zip(range(1, 21), REFERENCE_SNR_MRC_8):
