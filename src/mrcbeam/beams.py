@@ -198,7 +198,7 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
     phases = phase_matrix(array, channel.direction_matrix())
     tone = (weights.coefficients @ np.exp(1j * phases)) * channel.amplitudes()  # (M,)
     out = tone_sum(tone, channel, f)
-    return complex(out) if np.ndim(out) == 0 else out
+    return out if out.ndim else complex(out)
 
 
 def noise_power(weights: BeamWeights, sigma0: float) -> float:

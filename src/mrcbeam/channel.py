@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,46 +146,89 @@ def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) ->
     return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel, f)
 
 
+class _GridPlan:
+    """A read-only even grid f_k = f_0 + k d and the tone phases of its three-level split.
+
+    With k = (a C + b) C + c, C = ceil(cbrt(F / 2)) and A = ceil(F / C^2), each
+    tone factors exactly into
+    e^{-j 2 pi tau (f_0 + a C^2 d)} e^{-j 2 pi tau b C d} e^{-j 2 pi tau c d}:
+    M (A + 2 C) factors, about 3 cbrt(F) per path, from one real cos and one sin
+    over a contiguous (M, A + 2 C) phase array. The sum is then one
+    (A, M) @ (M, C^2) product.
+    """
+
+    __slots__ = ("grid", "_sizes", "_phases", "__weakref__")
+
+    def __init__(self, grid: np.ndarray):
+        grid.setflags(write=False)
+        n, fine = grid.size, 1
+        while 2 * fine ** 3 < n:
+            fine += 1
+        coarse = -(-n // fine ** 2)
+        step = (grid[-1] - grid[0]) / (n - 1)   # as linspace spaces it; f[1] - f[0] is off by rounding
+        offsets = np.concatenate([grid[0] + step * (fine ** 2 * np.arange(coarse)),
+                                  step * (fine * np.arange(fine)), step * np.arange(fine)])
+        self.grid, self._sizes, self._phases = grid, (coarse, fine), -2.0 * np.pi * offsets
+
+    def tone_sum(self, gains: np.ndarray, delays: np.ndarray) -> np.ndarray:
+        coarse, fine = self._sizes
+        phases = delays[:, None] * self._phases                       # (M, A + 2 C)
+        tones = np.empty(phases.shape, dtype=complex)
+        np.cos(phases, out=tones.real)
+        np.sin(phases, out=tones.imag)
+        left = gains[..., :, None] * tones[:, :coarse]                # (..., M, A)
+        right = tones[:, coarse:-fine, None] * tones[:, None, -fine:]  # (M, C, C)
+        out = left.swapaxes(-1, -2) @ right.reshape(-1, fine ** 2)
+        return out.reshape(gains.shape[:-1] + (-1,))[..., :self.grid.size]
+
+
+# id(grid) -> its plan while the plan lives; a live plan keeps its grid, and so the id, alive
+_plan_of_grid: weakref.WeakValueDictionary[int, _GridPlan] = weakref.WeakValueDictionary()
+
+
 def even_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)``, read-only and built once per distinct grid."""
+    """``np.linspace(lo, hi, n)`` for finite ends and n >= 2, read-only and built once
+    per distinct grid, together with the plan `tone_sum` evaluates it by."""
+    return _grid_plan(lo, hi, n).grid
+
+
+def _grid_plan(lo: float, hi: float, n: int) -> _GridPlan:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or n < 2:
+        raise ValueError(f"an even grid needs finite ends and >= 2 points, got {lo}, {hi}, {n}")
     # the signs keep -0.0 and 0.0 apart, which compare and hash equal
-    return _even_grid(lo, hi, n, math.copysign(1.0, lo), math.copysign(1.0, hi))
+    return _cached_plan(lo, hi, n, math.copysign(1.0, lo), math.copysign(1.0, hi))
 
 
 @functools.lru_cache(maxsize=8)
-def _even_grid(lo: float, hi: float, n: int, *signs: float) -> np.ndarray:
-    grid = np.linspace(lo, hi, n)
-    grid.setflags(write=False)
-    return grid
+def _cached_plan(lo: float, hi: float, n: int, *signs: float) -> _GridPlan:
+    plan = _GridPlan(np.linspace(lo, hi, n))
+    _plan_of_grid[id(plan.grid)] = plan
+    return plan
 
 
 def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
     """Sum of the channel's delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
 
     ``f`` may be a finite scalar, which drops the frequency axis, or a 1-D
-    array of F finite frequencies, which appends one of length F. An evenly
-    spaced grid f_k = f_0 + k d factors each tone exactly: with k = a B + b,
-    B = ceil(sqrt(F)) and A = ceil(F / B) it is
-    e^{-j 2 pi tau (f_0 + a B d)} e^{-j 2 pi tau b d}, so the sum is one
-    (A, M) @ (M, B) product over M (A + B) tones instead of M F. Any other
-    grid builds the (M, F) tones directly.
+    array of F finite frequencies, which appends one of length F. A grid of
+    `even_grid` is summed by its cached plan (see `_GridPlan`) without a
+    further check; any other array equal to such a grid is checked against
+    it first and then summed the same way. Scalars, one-point and uneven
+    grids build the (M, F) tones directly. Either way the result agrees with
+    the direct sum to within 8 eps (1 + largest phase) sum |gains|.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim > 1 or not np.isfinite(f).all():
-        raise ValueError(f"frequencies must be finite and at most 1-D, got shape {f.shape}")
-    delays = channel.delays()
-    if f.ndim == 0:
-        return gains @ np.exp(-2j * np.pi * float(f) * delays)
-    n = f.size
-    if n < 2 or not np.array_equal(even_grid(float(f[0]), float(f[-1]), n), f):
-        return gains @ np.exp(-2j * np.pi * np.outer(delays, f))
-    cols = math.isqrt(n - 1) + 1                          # ceil(sqrt(n))
-    rows = -(-n // cols)
-    step = (f[-1] - f[0]) / (n - 1)   # as linspace spaces it; f[1] - f[0] is off by rounding
-    offsets = np.concatenate([f[0] + step * (cols * np.arange(rows)), step * np.arange(cols)])
-    tones = np.exp(-2j * np.pi * np.outer(delays, offsets))         # (M, A + B)
-    out = np.swapaxes(gains[..., :, None] * tones[:, :rows], -1, -2) @ tones[:, rows:]
-    return out.reshape(*out.shape[:-2], rows * cols)[..., :n]
+    plan = _plan_of_grid.get(id(f))
+    if plan is None:
+        f = np.asarray(f, dtype=float)
+        if f.ndim > 1 or not np.isfinite(f).all():
+            raise ValueError(f"frequencies must be finite and at most 1-D, got shape {f.shape}")
+        if f.ndim == 0:
+            return gains @ np.exp(-2j * np.pi * float(f) * channel.delays())
+        if f.size > 1:
+            plan = _grid_plan(float(f[0]), float(f[-1]), f.size)
+        if plan is None or not np.array_equal(plan.grid, f):
+            return gains @ np.exp(-2j * np.pi * np.outer(channel.delays(), f))
+    return plan.tone_sum(gains, channel.delays())
 
 
 def remove_component(channel: ChannelRealization, index: int) -> ChannelRealization:

@@ -17,7 +17,7 @@ from . import output
 from .beams import mrc_weights, pattern_gain_db
 from .channel import channel_from_json, channel_to_json, sample_channel
 from .geometry import FieldOfView, make_ula
-from .montecarlo import (ExperimentConfig, run_blockage_experiment,
+from .montecarlo import (MAX_PATHS, ExperimentConfig, run_blockage_experiment,
                          run_effectiveness_sweep, run_snr_sweep, trial_rng)
 from .theory import estimate_array_parameter
 
@@ -160,6 +160,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _m_sweep(args) -> range:
+    """Path counts --m-min to --m-max; a --m-max past the limit is refused before
+    the sweep is built."""
+    if args.m_max > MAX_PATHS:
+        raise ValueError(f"--m-max must be <= {MAX_PATHS}, got {args.m_max}")
+    return range(args.m_min, args.m_max + 1)
+
+
 def _experiment_config(args, m_values) -> ExperimentConfig:
     return ExperimentConfig(
         n_elements=args.elements,
@@ -197,7 +205,7 @@ def _cmd_array_param(args) -> None:
 
 
 def _cmd_effectiveness(args, quantity: str) -> None:
-    cfg = _experiment_config(args, range(args.m_min, args.m_max + 1))
+    cfg = _experiment_config(args, _m_sweep(args))
     result = run_effectiveness_sweep(cfg)
     _emit(args, quantity, output.config_dict(cfg), output.sweep_columns_json(result),
           ["m", "theory", "empirical", "stderr"],
@@ -205,7 +213,7 @@ def _cmd_effectiveness(args, quantity: str) -> None:
 
 
 def _cmd_snr_sweep(args) -> None:
-    cfg = _experiment_config(args, range(args.m_min, args.m_max + 1))
+    cfg = _experiment_config(args, _m_sweep(args))
     result = run_snr_sweep(cfg)
     _emit(args, "snr-sweep", output.config_dict(cfg), output.sweep_columns_json(result),
           ["m", "mrc_theory_db", "mrc_sim_db", "single_theory_db", "single_sim_db"],
@@ -238,6 +246,8 @@ def _cmd_beam_pattern(args) -> None:
 
 
 def _cmd_dump_channel(args) -> None:
+    if args.m_paths > MAX_PATHS:
+        raise ValueError(f"--m-paths must be <= {MAX_PATHS}, got {args.m_paths}")
     fov = FieldOfView.from_degrees(args.fov_deg)
     channel = sample_channel(args.m_paths, fov, args.delay_max_ns * 1e-9,
                              trial_rng(args.seed, ()))

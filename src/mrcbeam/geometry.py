@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _UNIT_TOL = 1e-12
+MAX_ELEMENTS = 4096    # largest `make_ula` array: refused before anything is allocated
 
 
 @dataclass(frozen=True)
@@ -137,10 +138,11 @@ class FieldOfView:
 def make_ula(n_elements: int, spacing_wavelengths: float) -> AntennaArray:
     """Uniform linear array along x with the given element spacing.
 
-    Element i sits at (i * spacing, 0, 0); broadside is +y.
+    Element i sits at (i * spacing, 0, 0); broadside is +y. At most
+    `MAX_ELEMENTS` elements.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    if not 1 <= n_elements <= MAX_ELEMENTS:
+        raise ValueError(f"n_elements must be in [1, {MAX_ELEMENTS}], got {n_elements}")
     spacing = float(spacing_wavelengths)
     if not 0 < spacing < math.inf:
         raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")

@@ -26,6 +26,9 @@ from .theory import (effective_count, estimate_array_parameter,
                      snr_mrc_theory, snr_single_theory, to_db)
 
 _TRIAL_BLOCK = 256
+# size limits of an experiment and of the CLI flags that set them, checked before anything
+# is allocated
+MAX_PATHS, MAX_FREQ_POINTS = 4096, 1 << 20
 # SeedSequence's entropy mixing (A, L, R) and output hash (B), run over a block at once
 _MASK32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -33,7 +36,11 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs of a reproducible experiment."""
+    """All knobs of a reproducible experiment.
+
+    At most `MAX_PATHS` paths and `MAX_FREQ_POINTS` frequency points;
+    `make_ula` bounds the element count.
+    """
 
     n_elements: int
     m_values: tuple[int, ...]
@@ -51,12 +58,12 @@ class ExperimentConfig:
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
-        if not self.m_values or any(m < 1 for m in self.m_values):
-            raise ValueError("m_values must be a non-empty list of positive integers")
+        if not self.m_values or any(not 1 <= m <= MAX_PATHS for m in self.m_values):
+            raise ValueError(f"m_values must be a non-empty list of integers in [1, {MAX_PATHS}]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.freq_points < 2:
-            raise ValueError("freq_points must be >= 2")
+        if not 2 <= self.freq_points <= MAX_FREQ_POINTS:
+            raise ValueError(f"freq_points must be in [2, {MAX_FREQ_POINTS}]")
         if not 0 < self.bandwidth_hz < math.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
         if not 0 < self.sigma0 < math.inf:

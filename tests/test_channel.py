@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,16 @@ class TestToneSum:
         assert (np.abs(tone_sum(gains, ch, f) - self._direct(gains, ch, f))
                 <= self._bound(gains, ch, f)).all()
 
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_narrow_band_long_grid_within_bound(self, seed):
+        # a 1 kHz band over 65536 points: the phase steps are tiny, so tones built by
+        # repeated multiplication would gather rounding from every step
+        ch = sample_channel(8, FieldOfView.from_degrees(180), 100e-9,
+                            np.random.default_rng(seed))
+        gains, f = self._gains((8,), seed), np.linspace(-500.0, 500.0, 65536)
+        assert (np.abs(tone_sum(gains, ch, f) - self._direct(gains, ch, f))
+                <= self._bound(gains, ch, f)).all()
+
     @pytest.mark.parametrize("f", [np.linspace(0.0, 0.0, 16), np.linspace(-0.0, 0.0, 16),
                                    -np.zeros(16)])
     def test_zero_bandwidth_is_center_response(self, f):
@@ -247,6 +258,31 @@ class TestEvenGrid:
             assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0] = 1.0
+
+    def test_writable_copy_sums_like_the_cached_grid(self):
+        ch, gains = TestToneSum._channel(6), TestToneSum._gains((2, 6))
+        grid = even_grid(-5e8, 5e8, 1024)
+        copy = grid.copy()
+        assert copy.flags.writeable
+        assert tone_sum(gains, ch, copy).tobytes() == tone_sum(gains, ch, grid).tobytes()
+
+    def test_nan_inside_cached_endpoints_rejected(self):
+        f = even_grid(-5e8, 5e8, 1024).copy()
+        f[500] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            tone_sum(np.ones(6), TestToneSum._channel(6), f)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (-np.inf, 0.0), (0.0, np.inf),
+                                        (-np.inf, np.inf)])
+    def test_non_finite_ends_rejected_without_a_plan(self, lo, hi):
+        cached = mrcbeam.channel._cached_plan.cache_info()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                even_grid(lo, hi, 16)
+            with pytest.raises(ValueError, match="finite"):
+                tone_sum(np.ones(6), TestToneSum._channel(6), np.array([lo, 0.0, 0.5, hi]))
+        assert mrcbeam.channel._cached_plan.cache_info() == cached
 
 
 class TestResponse:

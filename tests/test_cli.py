@@ -252,7 +252,9 @@ class TestBadInput:
 
 
 _FLOATS = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e300")
-_INTS = ("0", "-1")
+_INTS = ("0", "-1", "1000000000000000")
+# a huge --trials, --workers, --samples or --seed is valid input that only runs long
+_HUGE_RUNS_LONG = ("--trials", "--workers", "--samples", "--seed")
 _EXPERIMENT_FLOATS = ("--spacing", "--fov-deg", "--delay-max-ns", "--bandwidth", "--sigma0")
 _EXPERIMENT_INTS = ("--seed", "--trials", "--workers", "--elements", "--freq-points")
 _SIZES = ("--elements", "4", "--trials", "3", "--freq-points", "16")
@@ -272,7 +274,8 @@ _BOUNDARY_CASES = [
     for command, (_, floats, ints) in _NUMERIC_FLAGS.items()
     for flags, values in ((floats, _FLOATS), (ints, _INTS))
     for flag in flags for value in values
-    if not (flag == "--grid-deg" and 0 < float(value) < 1e-3)]
+    if not (flag == "--grid-deg" and 0 < float(value) < 1e-3)
+    and not (flag in _HUGE_RUNS_LONG and value == _INTS[-1])]
 
 
 @pytest.mark.parametrize("command, flag, value", _BOUNDARY_CASES,

@@ -58,7 +58,7 @@ class TestMakeUla:
 
     @pytest.mark.parametrize("n,spacing", [(0, 0.5), (-1, 0.5), (4, 0.0), (4, -0.1),
                                            (4, np.inf), (4, np.nan), (4, 1e308),
-                                           (4, 1e307)])
+                                           (4, 1e307), (4097, 0.5), (10**15, 0.5)])
     def test_invalid_arguments(self, n, spacing):
         with pytest.raises(ValueError):
             make_ula(n, spacing)

@@ -72,6 +72,8 @@ class TestConfig:
         dict(n_elements=8, m_values=(2,), delay_max_ns=float("nan")),
         dict(n_elements=8, m_values=(2,), delay_max_ns=5e-324),     # 0 s after conversion
         dict(n_elements=8, m_values=(2,), delay_max_ns=1e308),      # tone phases overflow
+        dict(n_elements=8, m_values=(2, 4097)),                     # past the size limits
+        dict(n_elements=8, m_values=(2,), freq_points=(1 << 20) + 1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
