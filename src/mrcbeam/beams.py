@@ -192,7 +192,8 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
 
     Equals sum_n w_n H_n(f); computed per path as a sum of delayed tones,
     which is algebraically identical. Scalar ``f`` returns a complex
-    scalar, a 1-D array returns one value per frequency.
+    scalar; a 1-D array, or a `channel.even_grid` band grid, returns one
+    value per frequency.
     """
     _check_length(weights, array)
     phases = phase_matrix(array, channel.direction_matrix())

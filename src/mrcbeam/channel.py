@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,29 +145,33 @@ def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) ->
     return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel, f)
 
 
-class _GridPlan:
-    """A read-only even grid f_k = f_0 + k d and the tone phases of its three-level split.
+class EvenGrid:
+    """F evenly spaced frequencies f_k = f_0 + k d, held as the tone phases of a
+    three-level split; build one with `even_grid`.
 
     With k = (a C + b) C + c, C = ceil(cbrt(F / 2)) and A = ceil(F / C^2), each
     tone factors exactly into
     e^{-j 2 pi tau (f_0 + a C^2 d)} e^{-j 2 pi tau b C d} e^{-j 2 pi tau c d}:
     M (A + 2 C) factors, about 3 cbrt(F) per path, from one real cos and one sin
     over a contiguous (M, A + 2 C) phase array. The sum is then one
-    (A, M) @ (M, C^2) product.
+    (A, M) @ (M, C^2) product. ``len`` is F.
     """
 
-    __slots__ = ("grid", "_sizes", "_phases", "__weakref__")
+    __slots__ = ("_n", "_sizes", "_phases")
 
-    def __init__(self, grid: np.ndarray):
-        grid.setflags(write=False)
-        n, fine = grid.size, 1
+    def __init__(self, lo: float, hi: float, n: int):
+        fine = 1
         while 2 * fine ** 3 < n:
             fine += 1
         coarse = -(-n // fine ** 2)
-        step = (grid[-1] - grid[0]) / (n - 1)   # as linspace spaces it; f[1] - f[0] is off by rounding
-        offsets = np.concatenate([grid[0] + step * (fine ** 2 * np.arange(coarse)),
+        step = (hi - lo) / (n - 1)   # as linspace spaces it; f[1] - f[0] is off by rounding
+        offsets = np.concatenate([lo + step * (fine ** 2 * np.arange(coarse)),
                                   step * (fine * np.arange(fine)), step * np.arange(fine)])
-        self.grid, self._sizes, self._phases = grid, (coarse, fine), -2.0 * np.pi * offsets
+        self._n, self._sizes, self._phases = n, (coarse, fine), -2.0 * np.pi * offsets
+        self._phases.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self._n
 
     def tone_sum(self, gains: np.ndarray, delays: np.ndarray) -> np.ndarray:
         coarse, fine = self._sizes
@@ -179,56 +182,41 @@ class _GridPlan:
         left = gains[..., :, None] * tones[:, :coarse]                # (..., M, A)
         right = tones[:, coarse:-fine, None] * tones[:, None, -fine:]  # (M, C, C)
         out = left.swapaxes(-1, -2) @ right.reshape(-1, fine ** 2)
-        return out.reshape(gains.shape[:-1] + (-1,))[..., :self.grid.size]
+        return out.reshape(gains.shape[:-1] + (-1,))[..., :self._n]
 
 
-# id(grid) -> its plan while the plan lives; a live plan keeps its grid, and so the id, alive
-_plan_of_grid: weakref.WeakValueDictionary[int, _GridPlan] = weakref.WeakValueDictionary()
-
-
-def even_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)`` for finite ends and n >= 2, read-only and built once
-    per distinct grid, together with the plan `tone_sum` evaluates it by."""
-    return _grid_plan(lo, hi, n).grid
-
-
-def _grid_plan(lo: float, hi: float, n: int) -> _GridPlan:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or n < 2:
-        raise ValueError(f"an even grid needs finite ends and >= 2 points, got {lo}, {hi}, {n}")
+def even_grid(lo: float, hi: float, n: int) -> EvenGrid:
+    """The grid ``np.linspace(lo, hi, n)`` as an `EvenGrid`, for a finite span and n >= 2;
+    built once per distinct grid, and a zero end keeps its sign."""
+    lo, hi, n = float(lo), float(hi), operator.index(n)
+    if not math.isfinite(hi - lo) or n < 2:      # also rejects non-finite ends
+        raise ValueError(f"an even grid needs a finite span and >= 2 points, got {lo}, {hi}, {n}")
     # the signs keep -0.0 and 0.0 apart, which compare and hash equal
-    return _cached_plan(lo, hi, n, math.copysign(1.0, lo), math.copysign(1.0, hi))
+    return _cached_grid(lo, hi, n, math.copysign(1.0, lo), math.copysign(1.0, hi))
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_plan(lo: float, hi: float, n: int, *signs: float) -> _GridPlan:
-    plan = _GridPlan(np.linspace(lo, hi, n))
-    _plan_of_grid[id(plan.grid)] = plan
-    return plan
+def _cached_grid(lo: float, hi: float, n: int, *signs: float) -> EvenGrid:
+    return EvenGrid(lo, hi, n)
 
 
 def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
     """Sum of the channel's delayed tones: sum_m gains[..., m] * e^{-j 2 pi f tau_m}.
 
-    ``f`` may be a finite scalar, which drops the frequency axis, or a 1-D
-    array of F finite frequencies, which appends one of length F. A grid of
-    `even_grid` is summed by its cached plan (see `_GridPlan`) without a
-    further check; any other array equal to such a grid is checked against
-    it first and then summed the same way. Scalars, one-point and uneven
-    grids build the (M, F) tones directly. Either way the result agrees with
-    the direct sum to within 8 eps (1 + largest phase) sum |gains|.
+    ``f`` may be an `EvenGrid` of F frequencies or a 1-D array of F finite
+    frequencies, either of which appends a frequency axis of length F, or a
+    finite scalar, which drops it. An `EvenGrid` is summed by its split, which
+    agrees with the direct sum to within 8 eps (1 + largest phase) sum |gains|;
+    scalars and arrays, evenly spaced or not, build the (M, F) tones directly.
     """
-    plan = _plan_of_grid.get(id(f))
-    if plan is None:
-        f = np.asarray(f, dtype=float)
-        if f.ndim > 1 or not np.isfinite(f).all():
-            raise ValueError(f"frequencies must be finite and at most 1-D, got shape {f.shape}")
-        if f.ndim == 0:
-            return gains @ np.exp(-2j * np.pi * float(f) * channel.delays())
-        if f.size > 1:
-            plan = _grid_plan(float(f[0]), float(f[-1]), f.size)
-        if plan is None or not np.array_equal(plan.grid, f):
-            return gains @ np.exp(-2j * np.pi * np.outer(channel.delays(), f))
-    return plan.tone_sum(gains, channel.delays())
+    if isinstance(f, EvenGrid):
+        return f.tone_sum(gains, channel.delays())
+    f = np.asarray(f, dtype=float)
+    if f.ndim > 1 or not np.isfinite(f).all():
+        raise ValueError(f"frequencies must be finite and at most 1-D, got shape {f.shape}")
+    if f.ndim == 0:
+        return gains @ np.exp(-2j * np.pi * float(f) * channel.delays())
+    return gains @ np.exp(-2j * np.pi * np.outer(channel.delays(), f))
 
 
 def remove_component(channel: ChannelRealization, index: int) -> ChannelRealization:

@@ -21,6 +21,8 @@ from .montecarlo import (MAX_PATHS, ExperimentConfig, run_blockage_experiment,
                          run_effectiveness_sweep, run_snr_sweep, trial_rng)
 from .theory import estimate_array_parameter
 
+MAX_PATTERN_ANGLES = 1 << 20   # most beam-pattern angles, 180 / --grid-deg: refused before the grid
+
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
@@ -233,8 +235,8 @@ def _cmd_beam_pattern(args) -> None:
         channel = channel_from_json(json.load(fh))
     array = make_ula(args.elements, args.spacing)
     weights = mrc_weights(channel, array)
-    if not args.grid_deg > 0:
-        raise ValueError("--grid-deg must be positive")
+    if not args.grid_deg * MAX_PATTERN_ANGLES >= 180.0:    # also rejects NaN and <= 0
+        raise ValueError(f"--grid-deg must be >= 180 / {MAX_PATTERN_ANGLES}, got {args.grid_deg}")
     thetas = np.arange(-90.0, 90.0 + args.grid_deg / 2, args.grid_deg)
     gains = pattern_gain_db(weights, array, thetas)
     rows = list(zip((float(t) for t in thetas), (float(g) for g in gains)))
@@ -269,8 +271,8 @@ def main(argv=None) -> int:
             _cmd_beam_pattern(args)
         elif args.command == "dump-channel":
             _cmd_dump_channel(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"mrcbeam: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        print(f"mrcbeam: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -13,6 +13,7 @@ from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
                      sample_channel, single_direction_weights, steering_vector,
                      strongest_component)
 from mrcbeam.beams import cross_beam_interference, design_beams
+from mrcbeam.channel import even_grid
 
 FOV180 = FieldOfView.from_degrees(180)
 
@@ -355,7 +356,7 @@ class TestCombinedResponse:
 
 
 class TestCombinedResponseGrid:
-    _F = np.linspace(-5e8, 5e8, 33)
+    _F, _FREQS = even_grid(-5e8, 5e8, 33), np.linspace(-5e8, 5e8, 33)
 
     @staticmethod
     def _direct(w, ch, arr, f):
@@ -371,13 +372,14 @@ class TestCombinedResponseGrid:
         ch = _random_channel(6, seed=22)
         beams = (mrc_weights(ch, arr),
                  single_direction_weights(arr, ch.components[strongest_component(ch)].direction))
-        max_phase = 2 * np.pi * ch.delays().max() * np.abs(self._F).max()
+        max_phase = 2 * np.pi * ch.delays().max() * np.abs(self._FREQS).max()
         for w in beams:
             gains = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
                      * ch.amplitudes())
             bound = 8 * np.finfo(float).eps * (1 + max_phase) * np.abs(gains).sum()
             np.testing.assert_allclose(combined_response(w, ch, arr, self._F),
-                                       self._direct(w, ch, arr, self._F), rtol=0, atol=bound)
+                                       self._direct(w, ch, arr, self._FREQS), rtol=0,
+                                       atol=bound)
 
     def test_scalar_frequency_unchanged(self):
         arr = make_ula(4, 0.5)

@@ -244,6 +244,14 @@ class TestBadInput:
                             lambda *args: ArrayParameterEstimate(float("nan"), 10, 0.1))
         _fails_with_one_error_line(["array-param", "--format", "json"], capsys)
 
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 32.0 GiB")],
+                             ids=["bare", "with-message"])
+    def test_failed_allocation_fails_cleanly(self, exc, monkeypatch, capsys):
+        def run_snr_sweep(cfg):
+            raise exc
+        monkeypatch.setattr(mrcbeam.cli, "run_snr_sweep", run_snr_sweep)
+        _fails_with_one_error_line(["snr-sweep", "--elements", "4", "--trials", "3"], capsys)
+
     def test_control_component_is_accepted(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_text(json.dumps({"components": [_GOOD_COMPONENT]}))
@@ -268,14 +276,14 @@ _NUMERIC_FLAGS = {
     "beam-pattern": (("--elements", "4"), ("--spacing", "--grid-deg"), ("--elements",)),
     "dump-channel": ((), ("--fov-deg", "--delay-max-ns"), ("--seed", "--m-paths")),
 }
-# A --grid-deg below about 1e-3 asks for a gigantic angle grid, so it is left out.
+# a --grid-deg of 1e-6 asks for 1.8e8 angles, which the limit refuses before building them
 _BOUNDARY_CASES = [
     (command, flag, value)
     for command, (_, floats, ints) in _NUMERIC_FLAGS.items()
     for flags, values in ((floats, _FLOATS), (ints, _INTS))
     for flag in flags for value in values
-    if not (flag == "--grid-deg" and 0 < float(value) < 1e-3)
-    and not (flag in _HUGE_RUNS_LONG and value == _INTS[-1])]
+    if not (flag in _HUGE_RUNS_LONG and value == _INTS[-1])] + [
+    ("beam-pattern", "--grid-deg", "1e-6")]
 
 
 @pytest.mark.parametrize("command, flag, value", _BOUNDARY_CASES,
