@@ -2,15 +2,15 @@
 
 Library surface: array geometry and plane-wave phases, multipath channel
 sampling, beam weight synthesis with per-path decomposition, closed-form
-wideband SNR predictions, and seeded Monte Carlo experiments.
+wideband SNR predictions, and seeded Monte Carlo experiments. A beam is
+its (N,) complex weight vector, a plain numpy array.
 """
 
-from .beams import (BeamKind, BeamWeights, Decomposition, DecompositionTerm,
-                    EffectivenessReport, array_factor, classify_effectiveness,
-                    combined_response, component_array_factor, decompose,
-                    interference_term, mrc_weights, noise_power,
-                    pair_gain_matrix, pattern_gain_db, single_direction_weights,
-                    strongest_component)
+from .beams import (Decomposition, DecompositionTerm, EffectivenessReport,
+                    array_factor, classify_effectiveness, combined_response,
+                    component_array_factor, decompose, interference_term,
+                    mrc_weights, noise_power, pair_gain_matrix, pattern_gain_db,
+                    single_direction_weights, strongest_component)
 from .channel import (ChannelRealization, MultipathComponent, channel_from_json,
                       channel_to_json, per_antenna_response, remove_component,
                       sample_channel)
@@ -28,9 +28,9 @@ from .theory import (EULER_GAMMA, ArrayParameterEstimate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaArray", "ArrayParameterEstimate", "BeamKind", "BeamWeights",
-    "ChannelRealization", "Decomposition", "DecompositionTerm", "Direction",
-    "EULER_GAMMA", "EffectivenessReport", "ExperimentConfig", "FieldOfView",
+    "AntennaArray", "ArrayParameterEstimate", "ChannelRealization",
+    "Decomposition", "DecompositionTerm", "Direction", "EULER_GAMMA",
+    "EffectivenessReport", "ExperimentConfig", "FieldOfView",
     "MultipathComponent", "SweepResult", "array_factor", "band_average_gain",
     "broadside", "channel_from_json", "channel_to_json",
     "classify_effectiveness", "combined_response", "component_array_factor",

@@ -1,6 +1,7 @@
 """Beam weights, array factors, per-path decomposition and path effectiveness.
 
-The conjugate-combining beam weights each element by the conjugate of its
+A beam is its (N,) complex coefficient vector, one weight per element. The
+conjugate-combining beam weights each element by the conjugate of its
 center-frequency channel coefficient. Over a plane-wave channel that beam
 splits into one sub-beam per path, which is what the decomposition and the
 effectiveness classification below make explicit.
@@ -8,33 +9,12 @@ effectiveness classification below make explicit.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, tone_sum
 from .geometry import AntennaArray, Direction, phase_matrix, steering_vector
-
-
-class BeamKind(enum.Enum):
-    MRC = "mrc"
-    SINGLE_DIRECTION = "single"
-
-
-@dataclass(frozen=True)
-class BeamWeights:
-    """One complex coefficient per element. Deliberately not unit-normalized;
-    every SNR divides by `noise_power`, so overall scale cancels."""
-
-    coefficients: np.ndarray
-    kind: BeamKind
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValueError("coefficients must be a non-empty 1-D complex vector")
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 @dataclass(frozen=True)
@@ -78,16 +58,19 @@ class EffectivenessReport:
         return (self.effective.size - self.n_effective) / self.effective.size
 
 
-def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> BeamWeights:
-    """Conjugate-combining weights designed at f = 0: conj(H_n(0)) / N."""
+def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
+    """Conjugate-combining weights designed at f = 0: conj(H_n(0)) / N.
+
+    Deliberately not unit-normalized; every SNR divides by `noise_power`,
+    so overall scale cancels.
+    """
     _, h0 = _center_response(array, channel.amplitudes(), channel.direction_matrix())
-    return BeamWeights(np.conj(h0) / array.n_elements, BeamKind.MRC)
+    return np.conj(h0) / array.n_elements
 
 
-def single_direction_weights(array: AntennaArray, k: Direction) -> BeamWeights:
+def single_direction_weights(array: AntennaArray, k: Direction) -> np.ndarray:
     """Conjugate-steering weights toward one direction: e^{-j phase} / N."""
-    return BeamWeights(np.conj(steering_vector(array, k)) / array.n_elements,
-                       BeamKind.SINGLE_DIRECTION)
+    return np.conj(steering_vector(array, k)) / array.n_elements
 
 
 def strongest_component(channel: ChannelRealization) -> int:
@@ -95,17 +78,20 @@ def strongest_component(channel: ChannelRealization) -> int:
     return int(np.argmax(np.abs(channel.amplitudes())))
 
 
-def _check_length(weights: BeamWeights, array: AntennaArray) -> None:
-    if weights.coefficients.size != array.n_elements:
-        raise ValueError(
-            f"weight length {weights.coefficients.size} does not match "
-            f"{array.n_elements} elements")
+def _weight_vector(weights: np.ndarray, array: AntennaArray | None = None) -> np.ndarray:
+    """``weights`` as a complex vector, refused unless 1-D, non-empty and, given
+    an ``array``, one weight per element."""
+    w = np.asarray(weights, dtype=complex)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("weights must be a non-empty 1-D complex vector")
+    if array is not None and w.size != array.n_elements:
+        raise ValueError(f"weight length {w.size} does not match {array.n_elements} elements")
+    return w
 
 
-def array_factor(weights: BeamWeights, array: AntennaArray, r: Direction) -> complex:
+def array_factor(weights: np.ndarray, array: AntennaArray, r: Direction) -> complex:
     """Complex gain of the weighted array toward probe direction ``r``."""
-    _check_length(weights, array)
-    return complex(weights.coefficients @ steering_vector(array, r))
+    return complex(_weight_vector(weights, array) @ steering_vector(array, r))
 
 
 def pair_gain_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
@@ -186,7 +172,7 @@ def classify_effectiveness(channel: ChannelRealization, array: AntennaArray) -> 
     return EffectivenessReport(amplitudes, interference, amplitudes >= interference)
 
 
-def combined_response(weights: BeamWeights, channel: ChannelRealization,
+def combined_response(weights: np.ndarray, channel: ChannelRealization,
                       array: AntennaArray, f) -> complex | np.ndarray:
     """Beam output for the channel at baseband frequency ``f``.
 
@@ -195,17 +181,18 @@ def combined_response(weights: BeamWeights, channel: ChannelRealization,
     scalar; a 1-D array, or a `channel.even_grid` band grid, returns one
     value per frequency.
     """
-    _check_length(weights, array)
+    w = _weight_vector(weights, array)
     phases = phase_matrix(array, channel.direction_matrix())
-    tone = (weights.coefficients @ np.exp(1j * phases)) * channel.amplitudes()  # (M,)
+    tone = (w @ np.exp(1j * phases)) * channel.amplitudes()  # (M,)
     out = tone_sum(tone, channel, f)
     return out if out.ndim else complex(out)
 
 
-def noise_power(weights: BeamWeights, sigma0: float) -> float:
+def noise_power(weights: np.ndarray, sigma0: float) -> float:
     """Output noise variance for per-antenna noise std ``sigma0`` >= 0; refuses a sigma0
     for which it is not finite, or is 0 while the weights are not."""
-    gain = float(np.vdot(weights.coefficients, weights.coefficients).real)
+    w = _weight_vector(weights)
+    gain = float(np.vdot(w, w).real)
     try:
         power = float(sigma0) ** 2 * gain
     except OverflowError:                         # sigma0^2 overflows
@@ -215,7 +202,7 @@ def noise_power(weights: BeamWeights, sigma0: float) -> float:
     return power
 
 
-def pattern_gain_db(weights: BeamWeights, array: AntennaArray,
+def pattern_gain_db(weights: np.ndarray, array: AntennaArray,
                     theta_deg: np.ndarray, floor: float = 1e-30) -> np.ndarray:
     """Power gain |F|^2 in dB over broadside-plane probe angles (degrees).
 
@@ -224,6 +211,6 @@ def pattern_gain_db(weights: BeamWeights, array: AntennaArray,
     """
     theta = np.radians(np.asarray(theta_deg, dtype=float))
     vecs = np.column_stack([np.sin(theta), np.cos(theta), np.zeros_like(theta)])
-    factors = weights.coefficients @ np.exp(1j * phase_matrix(array, vecs))
+    factors = _weight_vector(weights, array) @ np.exp(1j * phase_matrix(array, vecs))
     power = np.maximum(np.abs(factors) ** 2, floor)
     return 10.0 * np.log10(power)

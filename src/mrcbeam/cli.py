@@ -237,7 +237,10 @@ def _cmd_beam_pattern(args) -> None:
     weights = mrc_weights(channel, array)
     if not args.grid_deg * MAX_PATTERN_ANGLES >= 180.0:    # also rejects NaN and <= 0
         raise ValueError(f"--grid-deg must be >= 180 / {MAX_PATTERN_ANGLES}, got {args.grid_deg}")
-    thetas = np.arange(-90.0, 90.0 + args.grid_deg / 2, args.grid_deg)
+    # -90 + i * step for i <= 180 / step: the half-step margin keeps a +90 row that
+    # rounding puts just past the stop, and the count drops any row past +90
+    count = int(180.0 / args.grid_deg) + 1
+    thetas = np.arange(-90.0, 90.0 + args.grid_deg / 2, args.grid_deg)[:count]
     gains = pattern_gain_db(weights, array, thetas)
     rows = list(zip((float(t) for t in thetas), (float(g) for g in gains)))
     config = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,

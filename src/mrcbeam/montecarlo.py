@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Unused here but wrapped by perfbench/tracing.py: estimate_array_parameter,
+# Not called here; imported only for perfbench/tracing.py to wrap: estimate_array_parameter,
 # mrc_weights, noise_power, pair_gain_matrix, single_direction_weights, strongest_component.
-from .beams import (BeamKind, BeamWeights, combined_response, cross_beam_interference,
-                    design_beams, mrc_weights, noise_power, pair_gain_matrix,
-                    single_direction_weights, strongest_component)
+from .beams import (combined_response, cross_beam_interference, design_beams, mrc_weights,
+                    noise_power, pair_gain_matrix, single_direction_weights, strongest_component)
 from .channel import ChannelRealization, even_grid, remove_component, sample_channel
 from .geometry import AntennaArray, FieldOfView, make_ula
 from .theory import (effective_count, estimate_array_parameter,
@@ -123,7 +122,7 @@ def trial_rng(seed: int, trial_index) -> np.random.Generator:
     return np.random.default_rng([seed % (1 << 64), *map(int, trial_index)])
 
 
-def band_average_gain(weights: BeamWeights, channel: ChannelRealization,
+def band_average_gain(weights: np.ndarray, channel: ChannelRealization,
                       array: AntennaArray, bandwidth: float, freq_points: int) -> float:
     """Mean of |beam output|^2 over a uniform frequency grid spanning the band.
 
@@ -242,8 +241,8 @@ def _band_block(blockage: bool, cfg: ExperimentConfig, block) -> np.ndarray:
     coeffs, noise = design_beams(array, amplitudes, vectors)
     out = np.empty(noise.shape)
     for i, channel in enumerate(applied):
-        for j, kind in enumerate((BeamKind.MRC, BeamKind.SINGLE_DIRECTION)):
-            out[i, j] = band_average_gain(BeamWeights(coeffs[i, j], kind), channel, array,
+        for j, weights in enumerate(coeffs[i]):
+            out[i, j] = band_average_gain(weights, channel, array,
                                           cfg.bandwidth_hz, cfg.freq_points) / noise[i, j]
     return out
 

@@ -221,7 +221,7 @@ def test_criterion_7_identity_suite(announce):
                 w = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
                 ratios = np.abs(w @ h0) ** 2 / np.sum(np.abs(w) ** 2, axis=1)
                 assert np.all(ratios <= best * (1.0 + rtol))
-                mrc_snr = (abs(weights.coefficients @ h0) ** 2
+                mrc_snr = (abs(weights @ h0) ** 2
                            / noise_power(weights, 1.0))
                 assert mrc_snr == pytest.approx(best, rel=rtol)
                 checked += 1

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
-                     MultipathComponent, array_factor, broadside,
+                     MultipathComponent, array_factor, band_average_gain, broadside,
                      classify_effectiveness, combined_response,
                      component_array_factor, decompose, interference_term,
                      make_ula, mrc_weights, noise_power, pair_gain_matrix,
-                     per_antenna_response, phase_matrix, remove_component,
+                     pattern_gain_db, per_antenna_response, phase_matrix, remove_component,
                      sample_channel, single_direction_weights, steering_vector,
                      strongest_component)
 from mrcbeam.beams import cross_beam_interference, design_beams
@@ -51,7 +51,7 @@ class TestMrcWeights:
     def test_single_path_single_element_conjugates(self):
         ch = ChannelRealization((_component(2.0 + 0.0j),))
         w = mrc_weights(ch, make_ula(1, 0.5))
-        np.testing.assert_allclose(w.coefficients, [2.0 - 0.0j], atol=1e-15)
+        np.testing.assert_allclose(w, [2.0 - 0.0j], atol=1e-15)
 
     def test_single_path_collinear_with_steering(self):
         arr = make_ula(6, 0.5)
@@ -59,8 +59,7 @@ class TestMrcWeights:
         ch = ChannelRealization((_component(alpha, 0.7, 30e-9),))
         w = mrc_weights(ch, arr)
         w_point = single_direction_weights(arr, ch.components[0].direction)
-        np.testing.assert_allclose(w.coefficients,
-                                   np.conj(alpha) * w_point.coefficients, atol=1e-14)
+        np.testing.assert_allclose(w, np.conj(alpha) * w_point, atol=1e-14)
 
     def test_termwise_reconstruction(self):
         arr = make_ula(5, 0.5)
@@ -69,19 +68,19 @@ class TestMrcWeights:
         for c in ch.components:
             expected += np.conj(c.alpha) * np.conj(steering_vector(arr, c.direction))
         expected /= arr.n_elements
-        np.testing.assert_allclose(mrc_weights(ch, arr).coefficients, expected, atol=1e-12)
+        np.testing.assert_allclose(mrc_weights(ch, arr), expected, atol=1e-12)
 
 
 class TestSingleDirectionWeights:
     def test_single_element(self):
         w = single_direction_weights(make_ula(1, 0.5), broadside())
-        np.testing.assert_allclose(w.coefficients, [1.0 + 0j], atol=1e-15)
+        np.testing.assert_allclose(w, [1.0 + 0j], atol=1e-15)
 
     def test_squared_norm_is_inverse_n(self):
         for n in (1, 2, 8, 32):
             w = single_direction_weights(make_ula(n, 0.5),
                                          Direction.from_broadside_angle(0.3))
-            assert np.sum(np.abs(w.coefficients) ** 2) == pytest.approx(1.0 / n, rel=1e-12)
+            assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_unity_gain_at_own_direction(self):
         arr = make_ula(8, 0.5)
@@ -299,7 +298,7 @@ class TestDesignBeams:
             strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
             for c, w, power in ((c_mrc, mrc_weights(ch, arr), p[0]),
                                 (c_single, single_direction_weights(arr, strongest), p[1])):
-                np.testing.assert_allclose(c, w.coefficients, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(c, w, rtol=0, atol=1e-15)
                 assert power == pytest.approx(noise_power(w, 1.0), rel=1e-15)
 
     def test_tie_goes_to_the_lowest_index(self):
@@ -311,7 +310,7 @@ class TestDesignBeams:
                                               drawn.delays())
         assert strongest_component(tied) == 1
         steer = single_direction_weights(arr, Direction(drawn.direction_matrix()[1]))
-        np.testing.assert_allclose(coeffs[0, 1], steer.coefficients, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(coeffs[0, 1], steer, rtol=0, atol=1e-15)
 
 
 class TestCombinedResponse:
@@ -329,7 +328,7 @@ class TestCombinedResponse:
         ch = _random_channel(4, seed=20)
         w = mrc_weights(ch, arr)
         for f in (0.0, 88e6, -4.4e8):
-            expected = w.coefficients @ per_antenna_response(ch, arr, f)
+            expected = w @ per_antenna_response(ch, arr, f)
             assert combined_response(w, ch, arr, f) == pytest.approx(expected, abs=1e-12)
 
     def test_blockage_subtracts_one_component(self):
@@ -361,7 +360,7 @@ class TestCombinedResponseGrid:
     @staticmethod
     def _direct(w, ch, arr, f):
         """The response with the delay tones built directly from the grid."""
-        tone = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
+        tone = (w @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
                 * ch.amplitudes())
         return tone @ np.exp(-2j * np.pi * np.outer(ch.delays(), f))
 
@@ -374,7 +373,7 @@ class TestCombinedResponseGrid:
                  single_direction_weights(arr, ch.components[strongest_component(ch)].direction))
         max_phase = 2 * np.pi * ch.delays().max() * np.abs(self._FREQS).max()
         for w in beams:
-            gains = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
+            gains = (w @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
                      * ch.amplitudes())
             bound = 8 * np.finfo(float).eps * (1 + max_phase) * np.abs(gains).sum()
             np.testing.assert_allclose(combined_response(w, ch, arr, self._F),
@@ -386,7 +385,7 @@ class TestCombinedResponseGrid:
         ch = _random_channel(5, seed=23)
         w = mrc_weights(ch, arr)
         for f in (0.0, -0.0, 1.3e8):
-            tone = (w.coefficients @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
+            tone = (w @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
                     * ch.amplitudes())
             assert combined_response(w, ch, arr, f) == complex(
                 tone @ np.exp(-2j * np.pi * f * ch.delays()))
@@ -414,8 +413,7 @@ class TestNoisePower:
             assert noise_power(w, 2.0) == pytest.approx(4.0 / n, rel=1e-12)
 
     def test_zero_weights(self):
-        from mrcbeam import BeamKind, BeamWeights
-        w = BeamWeights(np.zeros(4, dtype=complex), BeamKind.MRC)
+        w = np.zeros(4, dtype=complex)
         assert noise_power(w, 1.0) == 0.0
         assert noise_power(w, 1e-200) == 0.0      # 0 is their power at any sigma0
 
@@ -441,7 +439,7 @@ class TestNoisePower:
         arr = make_ula(5, 0.5)
         ch = ChannelRealization((_component(0.3 + 1.1j, 0.2), _component(-0.8j, -0.9)))
         w = mrc_weights(ch, arr)
-        expected = float(sigma0 ** 2 * np.vdot(w.coefficients, w.coefficients).real)
+        expected = float(sigma0 ** 2 * np.vdot(w, w).real)
         assert noise_power(w, sigma0) == expected
 
     def test_mrc_expectation_scales_with_path_count(self):
@@ -473,11 +471,10 @@ class TestOptimalityAndScale:
             assert achieved == pytest.approx(best, rel=1e-9)
 
     def test_weight_scaling_leaves_snr_unchanged(self):
-        from mrcbeam import BeamWeights
         arr = make_ula(8, 0.5)
         ch = _random_channel(5, seed=24)
         w = mrc_weights(ch, arr)
-        scaled = BeamWeights(w.coefficients * (3.3 - 1.7j), w.kind)
+        scaled = w * (3.3 - 1.7j)
         for f in (0.0, 1.5e8):
             snr_a = abs(combined_response(w, ch, arr, f)) ** 2 / noise_power(w, 1.0)
             snr_b = abs(combined_response(scaled, ch, arr, f)) ** 2 / noise_power(scaled, 1.0)
@@ -496,7 +493,6 @@ class TestOptimalityAndScale:
 
 class TestPatternExport:
     def test_pointed_beam_peaks_at_steering_angle(self):
-        from mrcbeam import pattern_gain_db
         arr = make_ula(16, 0.5)
         w = single_direction_weights(arr, Direction.from_broadside_angle(np.radians(20)))
         thetas = np.arange(-90.0, 90.5, 0.5)
@@ -505,7 +501,6 @@ class TestPatternExport:
         assert abs(thetas[np.argmax(gains)] - 20.0) <= 1.0
 
     def test_nulls_are_clamped_finite(self):
-        from mrcbeam import pattern_gain_db
         arr = make_ula(2, 0.5)
         w = single_direction_weights(arr, broadside())
         gains = pattern_gain_db(w, arr, np.array([90.0]))  # exact pattern null
@@ -514,7 +509,6 @@ class TestPatternExport:
     def test_example_channel_lobe_appears_when_effective(self):
         # the beam sprouts a lobe toward path 4 once its amplitude clears
         # the interference level
-        from mrcbeam import pattern_gain_db
         k4 = EXAMPLE_DIRECTIONS[3]
         theta4 = np.degrees(np.arctan2(k4[0], k4[1]))  # broadside-plane azimuth
         thetas = np.array([theta4])
@@ -523,3 +517,32 @@ class TestPatternExport:
         weak_db = pattern_gain_db(w_weak, PLANAR_3X3, thetas)[0]
         strong_db = pattern_gain_db(w_strong, PLANAR_3X3, thetas)[0]
         assert strong_db > weak_db + 3.0
+
+
+
+# every function that takes beam weights, called on a 4-element array and a 3-path channel
+_ARR4, _CH3 = make_ula(4, 0.5), _random_channel(3, seed=26)
+WEIGHT_CALLS = {
+    "array_factor": lambda w: array_factor(w, _ARR4, broadside()),
+    "combined_response": lambda w: combined_response(w, _CH3, _ARR4, 1.3e8),
+    "band_average_gain": lambda w: band_average_gain(w, _CH3, _ARR4, 1e9, 16),
+    "noise_power": lambda w: noise_power(w, 1.0),
+    "pattern_gain_db": lambda w: pattern_gain_db(w, _ARR4, [-30.0, 10.0]),
+}
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("name", WEIGHT_CALLS)
+    def test_bad_vectors_rejected(self, name):
+        bad = [np.ones((2, 4), dtype=complex), np.zeros(0, dtype=complex)]
+        if name != "noise_power":                # the only one that does not know N
+            bad.append(np.ones(3, dtype=complex))
+        for w in bad:
+            with pytest.raises(ValueError, match="weight"):
+                WEIGHT_CALLS[name](w)
+
+    @pytest.mark.parametrize("name", WEIGHT_CALLS)
+    def test_real_list_equals_its_complex_copy(self, name):
+        real = [0.5, -1.0, 0.25, 2.0]
+        np.testing.assert_array_equal(WEIGHT_CALLS[name](real),
+                                      WEIGHT_CALLS[name](np.array(real, dtype=complex)))

@@ -146,17 +146,20 @@ class TestCommands:
         assert all(np.linalg.norm(c.direction.vector) == pytest.approx(1.0, abs=1e-9)
                    for c in ch.components)
 
-    def test_beam_pattern_from_dumped_channel(self, tmp_path, capsys):
+    # 7, 100, 200 and 359 put -90 + i * step past +90 but within the grid's half-step margin
+    @pytest.mark.parametrize("grid_deg, n_rows",
+                             [("1.0", 181), ("7", 26), ("100", 2), ("200", 1), ("359", 1)])
+    def test_beam_pattern_from_dumped_channel(self, tmp_path, capsys, grid_deg, n_rows):
         ch_file = tmp_path / "ch.json"
         assert main(["dump-channel", "--m-paths", "3", "--seed", "4",
                      "--output", str(ch_file)]) == 0
         out_file = tmp_path / "pattern.csv"
         assert main(["beam-pattern", "--channel-file", str(ch_file),
-                     "--elements", "8", "--grid-deg", "1.0",
+                     "--elements", "8", "--grid-deg", grid_deg,
                      "--output", str(out_file)]) == 0
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "theta_deg,gain_db"
-        assert len(lines) == 1 + 181
+        assert len(lines) == 1 + n_rows
         for row in lines[1:]:
             theta, gain = map(float, row.split(","))
             assert -90.0 <= theta <= 90.0 and np.isfinite(gain)

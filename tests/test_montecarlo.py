@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mrcbeam
-from mrcbeam import (BeamKind, BeamWeights, ChannelRealization, Direction,
+from mrcbeam import (ChannelRealization, Direction,
                      ExperimentConfig, FieldOfView, MultipathComponent,
                      band_average_gain, classify_effectiveness, combined_response, make_ula,
                      mrc_weights, noise_power, remove_component,
@@ -249,7 +249,7 @@ class TestBandAverageGain:
         t1, t2 = 12e-9, 81e-9
         arr = make_ula(1, 0.5)
         ch = ChannelRealization((_component(a1, 0.0, t1), _component(a2, 0.0, t2)))
-        w = BeamWeights(np.array([1.0 + 0j]), BeamKind.SINGLE_DIRECTION)
+        w = np.array([1.0 + 0j])
         bw, points = 1e9, 257
         oracle = 0.0
         for f in np.linspace(-bw / 2, bw / 2, points):
