@@ -112,26 +112,62 @@ class ChannelRealization:
         return self._delays
 
 
-def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float,
-                   rng: np.random.Generator) -> ChannelRealization:
-    """Draw a random channel: directions, then amplitudes, then delays.
+def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float, rng):
+    """Draw a random channel from one stream, or one channel per stream of a block.
 
+    Each stream draws its M directions, then its amplitudes, then its delays.
     Amplitudes are circularly-symmetric complex normal with unit variance
     (independent real/imaginary parts of variance 1/2), delays uniform on
     [0, delay_max] seconds, directions uniform in angle within the field
     of view; all mutually independent.
+
+    One Generator ``rng`` gives a `ChannelRealization`. A sequence of T
+    Generators gives the raw (T, M) complex amplitudes, (T, M, 3) unit arrival
+    vectors and (T, M) delays, row t exactly what stream t alone would draw.
     """
     if m_paths < 1:
         raise ValueError(f"m_paths must be >= 1, got {m_paths}")
     if not 0 < delay_max < math.inf:
         raise ValueError(f"delay_max must be positive and finite, got {delay_max}")
-    thetas = fov.sample_angles(rng, m_paths)
-    parts = rng.standard_normal(2 * m_paths)       # the real parts, then the imaginary ones
-    alphas = (parts[:m_paths] + 1j * parts[m_paths:]) / _SQRT2
-    delays = rng.uniform(0.0, delay_max, m_paths)
-    # fresh draws from a checked field of view and delay range are valid: no re-check
-    return ChannelRealization.__new__(ChannelRealization)._keep(
-        alphas, fov.direction_at(thetas), delays)
+    if isinstance(rng, np.random.Generator):
+        draws = np.empty(m_paths), np.empty(2 * m_paths), np.empty(m_paths)
+        _draw_paths(rng, *draws)
+        # fresh draws from a checked field of view and delay range are valid: no re-check
+        return ChannelRealization.__new__(ChannelRealization)._keep(
+            *_paths_from_draws(fov, delay_max, *draws))
+    rngs = tuple(rng)
+    angles, delays = np.empty((2, len(rngs), m_paths))
+    normals = np.empty((len(rngs), 2 * m_paths))
+    for stream, *rows in zip(rngs, angles, normals, delays):
+        _draw_paths(stream, *rows)
+    return _paths_from_draws(fov, delay_max, angles, normals, delays)
+
+
+def _draw_paths(rng: np.random.Generator, angles: np.ndarray, normals: np.ndarray,
+                delays: np.ndarray) -> None:
+    """One stream's draws, in order, into its rows: M uniforms for the angles, 2M
+    normals (the real parts, then the imaginary ones), M uniforms for the delays."""
+    rng.random(out=angles)
+    rng.standard_normal(out=normals)
+    rng.random(out=delays)
+
+
+def _paths_from_draws(fov: FieldOfView, delay_max: float, angles: np.ndarray,
+                      normals: np.ndarray, delays: np.ndarray):
+    """Amplitudes, unit vectors and delays of `_draw_paths` rows of any leading shape.
+
+    The uniforms take ``Generator.uniform``'s map low + (high - low) u, so the
+    angles and delays are bit for bit what ``uniform(-h, h)`` and
+    ``uniform(0, delay_max)`` draw.
+    """
+    h, m = fov.half_angle, angles.shape[-1]
+    angles *= h - -h
+    angles += -h
+    delays *= delay_max
+    amplitudes = np.empty(angles.shape, dtype=complex)
+    amplitudes.real, amplitudes.imag = normals[..., :m], normals[..., m:]
+    amplitudes /= _SQRT2
+    return amplitudes, fov.direction_at(angles), delays
 
 
 def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -235,12 +236,13 @@ def _cmd_beam_pattern(args) -> None:
         channel = channel_from_json(json.load(fh))
     array = make_ula(args.elements, args.spacing)
     weights = mrc_weights(channel, array)
-    if not args.grid_deg * MAX_PATTERN_ANGLES >= 180.0:    # also rejects NaN and <= 0
-        raise ValueError(f"--grid-deg must be >= 180 / {MAX_PATTERN_ANGLES}, got {args.grid_deg}")
-    # -90 + i * step for i <= 180 / step: the half-step margin keeps a +90 row that
-    # rounding puts just past the stop, and the count drops any row past +90
-    count = int(180.0 / args.grid_deg) + 1
-    thetas = np.arange(-90.0, 90.0 + args.grid_deg / 2, args.grid_deg)[:count]
+    step = args.grid_deg
+    if not (step * MAX_PATTERN_ANGLES >= 180.0 and step < math.inf):   # also rejects NaN
+        raise ValueError(f"--grid-deg must be finite and >= 180 / {MAX_PATTERN_ANGLES}, "
+                         f"got {step}")
+    # each angle is -90 + i * step for i <= 180 / step, and +90 where rounding puts
+    # the last one just past it
+    thetas = np.minimum(-90.0 + np.arange(int(180.0 / step) + 1) * step, 90.0)
     gains = pattern_gain_db(weights, array, thetas)
     rows = list(zip((float(t) for t in thetas), (float(g) for g in gains)))
     config = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,

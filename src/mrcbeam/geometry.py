@@ -120,13 +120,12 @@ class FieldOfView:
     def direction_at(self, theta) -> Direction | np.ndarray:
         """Direction(s) at angle ``theta`` (radians) from boresight.
 
-        Scalar ``theta`` returns a Direction; an array returns the raw
-        (len(theta), 3) matrix of unit vectors.
+        Scalar ``theta`` returns a Direction; an array of shape S returns the
+        raw (*S, 3) array of unit vectors.
         """
-        theta = np.asarray(theta, dtype=float)
-        vecs = (np.multiply.outer(np.cos(theta), self.boresight.vector)
-                + np.multiply.outer(np.sin(theta), self.plane_axis.vector))
-        if theta.ndim == 0:
+        theta = np.asarray(theta, dtype=float)[..., None]
+        vecs = np.cos(theta) * self.boresight.vector + np.sin(theta) * self.plane_axis.vector
+        if vecs.ndim == 1:
             return Direction(vecs)
         return vecs
 

@@ -26,8 +26,9 @@ from .theory import (effective_count, estimate_array_parameter,
 
 _TRIAL_BLOCK = 256
 # size limits of an experiment and of the CLI flags that set them, checked before anything
-# is allocated
+# is allocated or started; MAX_TRIALS bounds trials times path counts
 MAX_PATHS, MAX_FREQ_POINTS = 4096, 1 << 20
+MAX_WORKERS, MAX_TRIALS = 64, 1 << 22
 # SeedSequence's entropy mixing (A, L, R) and output hash (B), run over a block at once
 _MASK32, _MIX_L, _MIX_R = 0xFFFFFFFF, 0xCA01F9DD, 0x4973F715
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -37,7 +38,8 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 class ExperimentConfig:
     """All knobs of a reproducible experiment.
 
-    At most `MAX_PATHS` paths and `MAX_FREQ_POINTS` frequency points;
+    At most `MAX_PATHS` paths, `MAX_FREQ_POINTS` frequency points,
+    `MAX_WORKERS` workers and `MAX_TRIALS` trials over all path counts;
     `make_ula` bounds the element count.
     """
 
@@ -61,6 +63,9 @@ class ExperimentConfig:
             raise ValueError(f"m_values must be a non-empty list of integers in [1, {MAX_PATHS}]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials * len(self.m_values) > MAX_TRIALS:
+            raise ValueError(f"trials times path counts must be <= {MAX_TRIALS}, got "
+                             f"{self.trials} x {len(self.m_values)}")
         if not 2 <= self.freq_points <= MAX_FREQ_POINTS:
             raise ValueError(f"freq_points must be in [2, {MAX_FREQ_POINTS}]")
         if not 0 < self.bandwidth_hz < math.inf:
@@ -71,8 +76,8 @@ class ExperimentConfig:
             raise ValueError(f"delay_max_ns must be positive and finite, got {self.delay_max_ns}")
         if not math.isfinite(math.pi * self.bandwidth_hz * self.delay_max_s):
             raise ValueError(f"delay_max_ns {self.delay_max_ns} is too large: tone phases overflow")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
 
     def array(self) -> AntennaArray:
         return make_ula(self.n_elements, self.spacing_wavelengths)
@@ -207,10 +212,11 @@ def _block_streams(seed: int, m: int, lo: int, hi: int):
         yield np.random.Generator(np.random.PCG64(seed_type(state)))
 
 
-def _draw_block(cfg: ExperimentConfig, block, blockage: bool = False):
+def _draw_block(cfg: ExperimentConfig, block, blockage: bool):
     """(T, M) amplitudes and (T, M, 3) vectors of a block's channels, each drawn
-    from its own stream, and the channels the beams meet: the drawn ones, or with
-    ``blockage`` less one uniformly chosen component drawn next from that stream.
+    as a `ChannelRealization` from its own stream, and the channels the beams meet:
+    the drawn ones, or with ``blockage`` less one uniformly chosen component drawn
+    next from that stream. `band_average_gain` takes one channel per call.
     """
     m, lo, hi = block
     fov = cfg.fov()
@@ -224,9 +230,11 @@ def _draw_block(cfg: ExperimentConfig, block, blockage: bool = False):
 
 
 def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
-    """(ineffective fraction, effective count) per trial, in one pass over a block."""
-    m = block[0]
-    amplitudes, vectors, _ = _draw_block(cfg, block)
+    """(ineffective fraction, effective count) per trial, in one pass over a block
+    whose channels are drawn as raw arrays, one row per trial's stream."""
+    m, lo, hi = block
+    amplitudes, vectors, _ = sample_channel(m, cfg.fov(), cfg.delay_max_s,
+                                            list(_block_streams(cfg.seed, m, lo, hi)))
     interference = cross_beam_interference(cfg.array(), amplitudes, vectors)
     counts = np.count_nonzero(np.abs(amplitudes) >= np.abs(interference), axis=1)
     return np.column_stack([(m - counts) / m, counts])

@@ -176,6 +176,16 @@ def test_trial_loop_builds_no_per_path_objects(monkeypatch):
     run_snr_sweep(cfg)
     run_blockage_experiment(cfg)
 
+    # the effectiveness experiment draws a block's channels as raw arrays: no channel
+    # object, so no per-trial sample_channel call either
+    def no_channel(*args, **kwargs):
+        raise AssertionError("a ChannelRealization was built")
+
+    monkeypatch.setattr(ChannelRealization, "_keep", no_channel)
+    with pytest.raises(AssertionError):
+        sample_channel(2, FieldOfView.from_degrees(180), 1e-9, np.random.default_rng(0))
+    run_effectiveness_sweep(ExperimentConfig(n_elements=4, m_values=(1, 3), trials=300))
+
 
 class TestToneSum:
     """The factored evenly-spaced grid against the direct tones e^{-j 2 pi f tau}."""

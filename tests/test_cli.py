@@ -164,6 +164,19 @@ class TestCommands:
             theta, gain = map(float, row.split(","))
             assert -90.0 <= theta <= 90.0 and np.isfinite(gain)
 
+    @pytest.mark.parametrize("grid_deg, last", [("0.3", 90.0), (repr(180 / 7), 90.0),
+                                                ("1.1", -90.0 + 163 * 1.1)])
+    def test_beam_pattern_angles_carry_no_accumulated_rounding(self, tmp_path, grid_deg, last):
+        path, out_file = tmp_path / "ch.json", tmp_path / "pattern.csv"
+        path.write_text(json.dumps({"components": [_GOOD_COMPONENT]}))
+        assert main(["beam-pattern", "--channel-file", str(path), "--grid-deg", grid_deg,
+                     "--output", str(out_file)]) == 0
+        thetas = [float(row.split(",")[0])
+                  for row in out_file.read_text().strip().splitlines()[1:]]
+        step = float(grid_deg)
+        assert thetas == [min(-90.0 + i * step, 90.0) for i in range(len(thetas))]
+        assert thetas[-1] == last and len(thetas) == int(180.0 / step) + 1
+
     def test_json_output_echoes_config(self, capsys):
         assert main(["ineffectiveness", "--elements", "4", "--m-min", "2",
                      "--m-max", "2", "--trials", "10", "--seed", "5",
@@ -264,8 +277,9 @@ class TestBadInput:
 
 _FLOATS = ("nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e300")
 _INTS = ("0", "-1", "1000000000000000")
-# a huge --trials, --workers, --samples or --seed is valid input that only runs long
-_HUGE_RUNS_LONG = ("--trials", "--workers", "--samples", "--seed")
+# a huge --samples or --seed is valid input that only runs long; a huge --trials or
+# --workers is refused before anything is allocated or started
+_HUGE_RUNS_LONG = ("--samples", "--seed")
 _EXPERIMENT_FLOATS = ("--spacing", "--fov-deg", "--delay-max-ns", "--bandwidth", "--sigma0")
 _EXPERIMENT_INTS = ("--seed", "--trials", "--workers", "--elements", "--freq-points")
 _SIZES = ("--elements", "4", "--trials", "3", "--freq-points", "16")

@@ -16,7 +16,8 @@ from mrcbeam import (ChannelRealization, Direction,
                      run_blockage_experiment, run_effectiveness_sweep,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
-from mrcbeam.montecarlo import _block_pools, _block_streams, _words
+from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, _block_pools, _block_streams,
+                                _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -74,10 +75,19 @@ class TestConfig:
         dict(n_elements=8, m_values=(2,), delay_max_ns=1e308),      # tone phases overflow
         dict(n_elements=8, m_values=(2, 4097)),                     # past the size limits
         dict(n_elements=8, m_values=(2,), freq_points=(1 << 20) + 1),
+        dict(n_elements=8, m_values=(2,), workers=MAX_WORKERS + 1),
+        dict(n_elements=8, m_values=(2,), trials=MAX_TRIALS + 1),
+        dict(n_elements=8, m_values=(1, 2), trials=MAX_TRIALS // 2 + 1),
+        dict(n_elements=8, m_values=(2,), trials=10**15, workers=10**15),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_size_limits_are_inclusive(self):
+        # only checked here: no trial block is listed and no worker started
+        ExperimentConfig(n_elements=8, m_values=(1, 2), trials=MAX_TRIALS // 2,
+                         workers=MAX_WORKERS)
 
 
 class TestTrialRng:
@@ -140,6 +150,25 @@ class TestBlockStreams:
         seed_seq = next(_block_streams(0, 1, 0, 1)).bit_generator.seed_seq
         with pytest.raises(ValueError):
             seed_seq.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 + 3])
+    @pytest.mark.parametrize("m", [1, 2, 15])
+    @pytest.mark.parametrize("fov_deg", [0.0, 60.0, 180.0])
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (2**32 - 3, 2**32 + 2)])
+    def test_block_draw_matches_per_trial_channels(self, seed, m, fov_deg, lo, hi):
+        fov = FieldOfView.from_degrees(fov_deg)
+        streams = list(_block_streams(seed, m, lo, hi))
+        amplitudes, vectors, delays = sample_channel(m, fov, 80e-9, streams)
+        assert (amplitudes.shape, vectors.shape, delays.shape) == ((hi - lo, m), (hi - lo, m, 3),
+                                                                   (hi - lo, m))
+        for i, t in enumerate(range(lo, hi)):
+            oracle_rng = trial_rng(seed, (m, t))
+            oracle = sample_channel(m, fov, 80e-9, oracle_rng)
+            for got, expected in ((amplitudes, oracle.amplitudes()),
+                                  (vectors, oracle.direction_matrix()), (delays, oracle.delays())):
+                assert got[i].dtype == expected.dtype and got[i].tobytes() == expected.tobytes()
+            # each stream is left where the single draw leaves it
+            assert streams[i].bit_generator.state == oracle_rng.bit_generator.state
 
     def test_effectiveness_sweep_matches_per_trial_loop(self):
         cfg = ExperimentConfig(n_elements=6, m_values=(1, 5), trials=300, seed=23)
