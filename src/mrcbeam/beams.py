@@ -99,7 +99,7 @@ def pair_gain_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarra
 
     G = S^H S / N for the steering matrix S; the diagonal is exactly 1.
     """
-    s = np.exp(1j * phase_matrix(array, unit_vectors))
+    s = steering_matrix(array, unit_vectors)
     return s.conj().T @ s / array.n_elements
 
 
@@ -120,9 +120,15 @@ def decompose(channel: ChannelRealization, array: AntennaArray, r: Direction) ->
     return Decomposition(terms, r)
 
 
-def _center_response(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray):
+def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
+    """(..., N, M) plane-wave phasors e^{j phase} of (..., M, 3) unit vectors."""
+    return np.exp(1j * phase_matrix(array, unit_vectors))
+
+
+def _center_response(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray,
+                     steering: np.ndarray | None = None):
     """Steering matrices S (..., N, M) of stacked channels, and h0 = S a (..., N)."""
-    s = np.exp(1j * phase_matrix(array, vectors))
+    s = steering_matrix(array, vectors) if steering is None else steering
     return s, (s @ amplitudes[..., :, None])[..., 0]
 
 
@@ -139,14 +145,16 @@ def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
     return factor - np.conj(amplitudes)
 
 
-def design_beams(array: AntennaArray, amplitudes: np.ndarray,
-                 vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def design_beams(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray,
+                 steering: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Both beams of stacked channels with (..., M) amplitudes and (..., M, 3) vectors.
 
     Returns (..., 2, N) coefficients, `mrc_weights` then `single_direction_weights`
     toward `strongest_component`, and their (..., 2) `noise_power` at unit sigma0.
+    A caller that also needs the vectors' `steering_matrix` passes it as ``steering``,
+    so that it is computed once.
     """
-    s, h0 = _center_response(array, amplitudes, vectors)
+    s, h0 = _center_response(array, amplitudes, vectors, steering)
     strongest = np.argmax(np.abs(amplitudes), axis=-1)          # ties: lowest index
     steer = np.take_along_axis(s, strongest[..., None, None], axis=-1)[..., 0]
     coeffs = np.conj(np.stack([h0, steer], axis=-2)) / array.n_elements
@@ -211,6 +219,6 @@ def pattern_gain_db(weights: np.ndarray, array: AntennaArray,
     """
     theta = np.radians(np.asarray(theta_deg, dtype=float))
     vecs = np.column_stack([np.sin(theta), np.cos(theta), np.zeros_like(theta)])
-    factors = _weight_vector(weights, array) @ np.exp(1j * phase_matrix(array, vecs))
+    factors = _weight_vector(weights, array) @ steering_matrix(array, vecs)
     power = np.maximum(np.abs(factors) ** 2, floor)
     return 10.0 * np.log10(power)

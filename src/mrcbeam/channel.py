@@ -255,6 +255,45 @@ def tone_sum(gains: np.ndarray, channel: ChannelRealization, f):
     return gains @ np.exp(-2j * np.pi * np.outer(channel.delays(), f))
 
 
+def band_power(gains: np.ndarray, delays: np.ndarray, bandwidth: float, n: int) -> np.ndarray:
+    """Mean of |sum_m gains[..., b, m] e^{-j 2 pi f tau_m}|^2 over the band grid
+    ``np.linspace(-bandwidth/2, bandwidth/2, n)``, in closed form.
+
+    ``gains`` is (..., B, M) and ``delays`` (..., M) seconds; returns (..., B). The
+    mean is Re(g K g^H) with the grid's real Dirichlet kernel
+    K[m, m'] = sin(n x) / (n sin x), x = pi (bandwidth / (n - 1)) (tau_m - tau_m'):
+    M (M - 1) / 2 kernel entries per channel, which all B rows share, where a sum
+    over the grid takes M n tones per row.
+    """
+    m = delays.shape[-1]
+    rows, cols = np.triu_indices(m, 1)
+    upper = np.zeros(delays.shape[:-1] + (m, m))   # K above the diagonal; K is symmetric
+    upper[..., rows, cols] = _dirichlet(
+        n, bandwidth / (n - 1) * (delays[..., rows] - delays[..., cols]))
+    # g K g^H = sum_m |g_m|^2 + 2 sum_{m < m'} K[m, m'] Re(g_m conj(g_m'))
+    cross = sum(((part @ upper) * part).sum(-1) for part in (gains.real, gains.imag))
+    return (gains.real ** 2 + gains.imag ** 2).sum(-1) + 2.0 * cross
+
+
+def _dirichlet(n: int, u: np.ndarray) -> np.ndarray:
+    """sin(n pi u) / (n sin(pi u)): the mean of e^{-j 2 pi u (i - (n - 1) / 2)} over i < n.
+
+    Evaluated on u's offset r from the nearest integer k as
+    (-1)^(k (n - 1)) sin(n pi r) / (n sin(pi r)), and (-1)^(k (n - 1)) where
+    sin(pi r) is 0: at u = k, sin(pi u) in floating point is not 0 and n pi u rounds.
+    """
+    k = np.rint(u)
+    r = u - k
+    r *= np.pi
+    den = np.sin(r)
+    den *= n
+    r *= n
+    out = np.divide(np.sin(r), den, out=np.ones_like(r), where=den != 0)
+    if n % 2 == 0:
+        out *= 1.0 - 2.0 * np.abs(k - 2.0 * np.rint(0.5 * k))   # (-1)^k, exact for any float k
+    return out
+
+
 def remove_component(channel: ChannelRealization, index: int) -> ChannelRealization:
     """Channel with component ``index`` deleted, e.g. a blocked path.
 

@@ -17,14 +17,19 @@ import numpy as np
 # Not called here; imported only for perfbench/tracing.py to wrap: estimate_array_parameter,
 # mrc_weights, noise_power, pair_gain_matrix, single_direction_weights, strongest_component.
 from .beams import (combined_response, cross_beam_interference, design_beams, mrc_weights,
-                    noise_power, pair_gain_matrix, single_direction_weights, strongest_component)
-from .channel import ChannelRealization, even_grid, remove_component, sample_channel
+                    noise_power, pair_gain_matrix, single_direction_weights, steering_matrix,
+                    strongest_component)
+from .channel import ChannelRealization, band_power, even_grid, remove_component, sample_channel
 from .geometry import AntennaArray, FieldOfView, make_ula
 from .theory import (effective_count, estimate_array_parameter,
                      exact_array_parameter, ineffectiveness_probability,
                      snr_mrc_theory, snr_single_theory, to_db)
 
 _TRIAL_BLOCK = 256
+# Largest path count whose blockage block runs in closed form. The closed form costs M^2
+# kernel terms per trial, the per-trial grid sum M F tones per beam; at N = 8 and F = 2,
+# where the grid sum is cheapest, the two cost the same near M = 50.
+_CLOSED_FORM_MAX_PATHS = 48
 # size limits of an experiment and of the CLI flags that set them, checked before anything
 # is allocated or started; MAX_TRIALS bounds trials times path counts
 MAX_PATHS, MAX_FREQ_POINTS = 4096, 1 << 20
@@ -255,6 +260,26 @@ def _band_block(blockage: bool, cfg: ExperimentConfig, block) -> np.ndarray:
     return out
 
 
+def _blockage_block(cfg: ExperimentConfig, block) -> np.ndarray:
+    """`_band_block` with ``blockage`` in closed form, from the same draws.
+
+    A block's channels are drawn as raw arrays, then each stream's blocked
+    index. Both beams are designed on the drawn channels; each beam's tone gain
+    toward a path is (w S) a with the blocked path's amplitude set to 0, and
+    `band_power` averages the tones over the band without a sum over the grid.
+    """
+    m, lo, hi = block
+    streams = list(_block_streams(cfg.seed, m, lo, hi))
+    amplitudes, vectors, delays = sample_channel(m, cfg.fov(), cfg.delay_max_s, streams)
+    blocked = [rng.integers(m) for rng in streams]
+    array = cfg.array()
+    steering = steering_matrix(array, vectors)
+    coeffs, noise = design_beams(array, amplitudes, vectors, steering)
+    amplitudes[np.arange(hi - lo), blocked] = 0.0
+    gains = (coeffs @ steering) * amplitudes[:, None, :]           # (T, 2, M)
+    return band_power(gains, delays, cfg.bandwidth_hz, cfg.freq_points) / noise
+
+
 def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
     """(trials, 2) results of ``block_fn(cfg, block)`` for every m, in trial order.
 
@@ -345,7 +370,8 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     Requires a single entry in ``m_values`` with at least two paths, so a
     component can be removed. Returns the full sorted per-trial SNR lists
     in dB under the ``samples`` keys "mrc" and "single": each trial's SNR at
-    unit noise in dB, less the noise power 20 log10(sigma0) dB.
+    unit noise in dB, less the noise power 20 log10(sigma0) dB. Up to
+    ``_CLOSED_FORM_MAX_PATHS`` paths the band average is taken in closed form.
     """
     if len(cfg.m_values) != 1:
         raise ValueError("blockage experiment expects exactly one m value")
@@ -353,7 +379,9 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     if m < 2:
         raise ValueError("blockage experiment needs at least two paths")
     noise_db = 20.0 * math.log10(cfg.sigma0)
-    results = _run_trials(functools.partial(_band_block, True), cfg, (m,))
+    block_fn = (_blockage_block if m <= _CLOSED_FORM_MAX_PATHS
+                else functools.partial(_band_block, True))
+    results = _run_trials(block_fn, cfg, (m,))
     cols, samples = {}, {}
     for kind, lin in zip(("mrc", "single"), results[m].T):
         snr_db = 10.0 * np.log10(lin) - noise_db

@@ -21,6 +21,8 @@ from .geometry import AntennaArray, FieldOfView, phase_matrix
 EULER_GAMMA = float(np.euler_gamma)
 
 _ESTIMATE_CHUNK = 1 << 15
+_ESTIMATE_SLICE = 1 << 20    # elements times pairs of one slice of a chunk's phasor arrays
+MAX_SAMPLES = 1 << 30        # most direction pairs of one estimate: refused before any draw
 
 # Composite Gauss-Legendre rule of `exact_array_parameter`: 32-node panels,
 # each spanning at most 32 radians of the integrand's phase. A panel still
@@ -54,25 +56,31 @@ def estimate_array_parameter(array: AntennaArray, fov: FieldOfView, samples: int
     ----------
     array : AntennaArray
     fov : FieldOfView
-    samples : number of direction pairs, >= 1
+    samples : number of direction pairs, in [1, MAX_SAMPLES]
     rng : per-caller random stream
 
     Returns
     -------
     ArrayParameterEstimate with the mean, sample count and standard error.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
     total = 0.0
     total_sq = 0.0
     done = 0
+    # a chunk's pairs fill its gains in slices of at most _ESTIMATE_SLICE phasors per side
+    width = max(1, _ESTIMATE_SLICE // array.n_elements)
     while done < samples:
         count = min(_ESTIMATE_CHUNK, samples - done)
         theta = fov.sample_angles(rng, 2 * count)
         vecs = fov.direction_at(theta)
-        s_all = np.exp(1j * phase_matrix(array, vecs))           # (N, 2*count)
-        probe, other = s_all[:, :count], s_all[:, count:]
-        gain = np.abs(np.sum(np.conj(other) * probe, axis=0)) ** 2 / array.n_elements ** 2
+        gain = np.empty(count)
+        for lo in range(0, count, width):
+            hi = min(lo + width, count)
+            probe = np.exp(1j * phase_matrix(array, vecs[lo:hi]))             # (N, hi - lo)
+            other = np.exp(1j * phase_matrix(array, vecs[count + lo:count + hi]))
+            gain[lo:hi] = np.abs(np.sum(np.conj(other) * probe, axis=0)) ** 2
+        gain /= array.n_elements ** 2
         total += float(np.sum(gain))
         total_sq += float(np.sum(gain ** 2))
         done += count

@@ -19,6 +19,7 @@ from mrcbeam import (Direction, ExperimentConfig, FieldOfView, array_factor,
                      snr_mrc_theory, snr_ratio_theory, snr_single_theory, to_db,
                      trial_rng)
 from mrcbeam.cli import main
+from mrcbeam.montecarlo import _CLOSED_FORM_MAX_PATHS
 
 SEED = 1
 SAMPLES = 100_000
@@ -235,10 +236,15 @@ def test_criterion_8_determinism_across_workers(tmp_path, announce):
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
     blockage = ["blockage-cdf", "--elements", "4", "--m-paths", "4",
                 "--trials", "48", "--freq-points", "64", "--seed", "13"]
+    # above the closed form's path limit, blockage band-averages trial by trial
+    wide = ["blockage-cdf", "--elements", "4", "--m-paths", str(_CLOSED_FORM_MAX_PATHS + 1),
+            "--trials", "48", "--freq-points", "64", "--seed", "13"]
+    labels = ("snr_csv", "snr_json", "blk_csv", "wide_blk_csv")
     for workers in (1, 4, 16):
         for label, argv, fmt in (("snr_csv", base, "csv"),
                                  ("snr_json", base, "json"),
-                                 ("blk_csv", blockage, "csv")):
+                                 ("blk_csv", blockage, "csv"),
+                                 ("wide_blk_csv", wide, "csv")):
             for attempt in ("a", "b"):
                 path = tmp_path / f"{label}_{workers}_{attempt}.{fmt}"
                 code = main(argv + ["--workers", str(workers), "--format", fmt,
@@ -247,12 +253,10 @@ def test_criterion_8_determinism_across_workers(tmp_path, announce):
                 runs[(label, workers, attempt)] = path.read_bytes()
     ok = all(runs[(label, w, "a")] == runs[(label, 1, "a")]
              and runs[(label, w, "b")] == runs[(label, w, "a")]
-             for label, _, fmt in (("snr_csv", None, None), ("snr_json", None, None),
-                                   ("blk_csv", None, None))
-             for w in (1, 4, 16))
+             for label in labels for w in (1, 4, 16))
     announce(8, "byte-identical output under 1/4/16 workers", ok,
              f"{len(runs)} files compared")
-    for label in ("snr_csv", "snr_json", "blk_csv"):
+    for label in labels:
         reference = runs[(label, 1, "a")]
         for workers in (1, 4, 16):
             for attempt in ("a", "b"):

@@ -12,7 +12,8 @@ from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfVie
                      make_ula, per_antenna_response, remove_component,
                      run_blockage_experiment, run_effectiveness_sweep, run_snr_sweep,
                      sample_channel)
-from mrcbeam.channel import even_grid, tone_sum
+from mrcbeam.channel import _dirichlet, band_power, even_grid, tone_sum
+from mrcbeam.montecarlo import _CLOSED_FORM_MAX_PATHS
 
 
 def _component(alpha, theta=0.0, delay=0.0):
@@ -185,6 +186,9 @@ def test_trial_loop_builds_no_per_path_objects(monkeypatch):
     with pytest.raises(AssertionError):
         sample_channel(2, FieldOfView.from_degrees(180), 1e-9, np.random.default_rng(0))
     run_effectiveness_sweep(ExperimentConfig(n_elements=4, m_values=(1, 3), trials=300))
+    # so does the blockage experiment up to the closed form's path limit
+    run_blockage_experiment(ExperimentConfig(n_elements=4, m_values=(_CLOSED_FORM_MAX_PATHS,),
+                                             trials=300))
 
 
 class TestToneSum:
@@ -255,6 +259,46 @@ class TestToneSum:
         # a plain array is summed directly even when it is evenly spaced
         ch, gains = self._channel(5), self._gains((3, 5))
         assert tone_sum(gains, ch, f).tobytes() == self._direct(gains, ch, f).tobytes()
+
+
+class TestBandPower:
+    """The closed-form band mean against direct means over ``np.linspace`` grids."""
+
+    BANDWIDTH = 1e9
+
+    @pytest.mark.parametrize("n", [777, 1000, 1023, 1024])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_kernel_at_multiples_of_the_tone_spacing(self, n, k):
+        # at delay differences k / step, sin(pi u) in floats is not 0 and n pi u rounds:
+        # sin(n x) / (n sin x) evaluated as written is off by up to 2.2 there
+        step = self.BANDWIDTH / (n - 1)
+        dtau = k / step
+        f = np.linspace(-self.BANDWIDTH / 2, self.BANDWIDTH / 2, n)
+        direct = np.mean(np.exp(-2j * np.pi * f * dtau)).real
+        assert _dirichlet(n, np.array([step * dtau]))[0] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 777, 1024])
+    def test_band_power_matches_long_double_sum(self, n):
+        # coincident delays, delays k / step apart and random ones, for two gain rows
+        step = self.BANDWIDTH / (n - 1)
+        rng = np.random.default_rng(n)
+        delays = np.concatenate([[50e-9, 50e-9, 0.0], np.arange(1, 4) / step,
+                                 rng.uniform(0, 100e-9, 4)])
+        gains = rng.standard_normal((2, delays.size)) + 1j * rng.standard_normal((2, delays.size))
+        half = np.longdouble(self.BANDWIDTH) / 2
+        phases = (-2 * np.arccos(np.longdouble(-1))
+                  * np.outer(delays, np.linspace(-half, half, n)))
+        response = gains @ (np.cos(phases) + 1j * np.sin(phases))
+        direct = np.mean(np.abs(response) ** 2, axis=-1).astype(float)
+        got = band_power(gains[None], delays[None], self.BANDWIDTH, n)
+        assert got.shape == (1, 2)
+        np.testing.assert_allclose(got[0], direct, rtol=1e-12, atol=0)
+
+    def test_zero_bandwidth_is_center_power(self):
+        rng = np.random.default_rng(3)
+        gains = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
+        got = band_power(gains, rng.uniform(0, 1e-7, (4, 6)), 0.0, 16)
+        np.testing.assert_allclose(got, np.abs(gains.sum(-1)) ** 2, rtol=1e-13)
 
 
 class TestEvenGrid:

@@ -16,8 +16,9 @@ from mrcbeam import (ChannelRealization, Direction,
                      run_blockage_experiment, run_effectiveness_sweep,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
-from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, _block_pools, _block_streams,
-                                _words)
+from mrcbeam.beams import steering_matrix
+from mrcbeam.montecarlo import (_CLOSED_FORM_MAX_PATHS, MAX_TRIALS, MAX_WORKERS, _block_pools,
+                                _block_streams, _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -203,10 +204,14 @@ class TestBandBlock:
     """Both band-averaging experiments against a per-trial loop of single calls."""
 
     @staticmethod
-    def _trial_snrs(cfg, m, blockage):
-        """(trials, 2) linear SNRs of the combining and the strongest-path beam."""
+    def _trial_snrs(cfg, m, blockage, precise=False):
+        """(trials, 2) linear SNRs of the combining and the strongest-path beam: the
+        mean over the band grid of `combined_response`, or with ``precise`` of a
+        direct tone sum in np.longdouble."""
         arr, fov = cfg.array(), cfg.fov()
-        freqs = np.linspace(-cfg.bandwidth_hz / 2, cfg.bandwidth_hz / 2, cfg.freq_points)
+        real = np.longdouble if precise else float
+        half = real(cfg.bandwidth_hz) / 2
+        freqs = np.linspace(-half, half, cfg.freq_points)
         out = np.empty((cfg.trials, 2))
         for t in range(cfg.trials):
             rng = trial_rng(cfg.seed, (m, t))
@@ -214,8 +219,14 @@ class TestBandBlock:
             applied = remove_component(ch, int(rng.integers(m))) if blockage else ch
             strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
             for j, w in enumerate((mrc_weights(ch, arr), single_direction_weights(arr, strongest))):
-                out[t, j] = (np.mean(np.abs(combined_response(w, applied, arr, freqs)) ** 2)
-                             / noise_power(w, cfg.sigma0))
+                if precise:
+                    gains = ((w @ steering_matrix(arr, applied.direction_matrix()))
+                             * applied.amplitudes())
+                    phases = -2 * np.arccos(real(-1)) * np.outer(applied.delays(), freqs)
+                    response = gains @ (np.cos(phases) + 1j * np.sin(phases))
+                else:
+                    response = combined_response(w, applied, arr, freqs)
+                out[t, j] = np.mean(np.abs(response) ** 2) / noise_power(w, cfg.sigma0)
         return out
 
     def test_snr_sweep_matches_per_trial_loop(self):
@@ -229,10 +240,17 @@ class TestBandBlock:
                 assert res.columns[f"{kind}_sim_stderr_db"][i] == pytest.approx(
                     10 / np.log(10) * err / mean, rel=1e-12)
 
-    def test_blockage_matches_per_trial_loop(self):
-        cfg = ExperimentConfig(n_elements=6, m_values=(5,), trials=300, seed=31, sigma0=0.7)
+    # in closed form at or below the path limit, by per-trial tone sums above it; with
+    # 5 us of delay the tone phases reach 1.6e4 rad, so there the oracle is long double
+    @pytest.mark.parametrize("m, extra, precise", [
+        (5, {}, False), (_CLOSED_FORM_MAX_PATHS + 1, {}, False),
+        (5, {"delay_max_ns": 5000.0, "freq_points": 1000}, True)],
+        ids=["closed-form", "per-trial", "long-delays"])
+    def test_blockage_matches_per_trial_loop(self, m, extra, precise):
+        cfg = ExperimentConfig(n_elements=6, m_values=(m,), trials=300, seed=31, sigma0=0.7,
+                               **extra)
         res = run_blockage_experiment(cfg)
-        for kind, lin in zip(("mrc", "single"), self._trial_snrs(cfg, 5, True).T):
+        for kind, lin in zip(("mrc", "single"), self._trial_snrs(cfg, m, True, precise).T):
             np.testing.assert_allclose(res.samples[kind], np.sort(10 * np.log10(lin)),
                                        rtol=1e-12, atol=0)
 

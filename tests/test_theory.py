@@ -130,10 +130,21 @@ class TestEstimateArrayParameter:
             assert a.s - b.s > -2 * math.hypot(a.stderr, b.stderr)
             assert a.s > b.s  # margins are far wider than the noise here
 
-    def test_requires_positive_samples(self):
-        with pytest.raises(ValueError):
-            estimate_array_parameter(make_ula(2, 0.5), FOV180, 0,
-                                     np.random.default_rng(5))
+    @pytest.mark.parametrize("samples", [0, theory.MAX_SAMPLES + 1])
+    def test_sample_count_out_of_range_refused_before_drawing(self, samples):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="samples"):
+            estimate_array_parameter(make_ula(2, 0.5), FOV180, samples, rng)
+        assert rng.bit_generator.state == state
+
+    def test_chunk_sliced_by_element_count_gives_the_same_bytes(self, monkeypatch):
+        # a chunk's gains fill in column slices; the slice width changes no value
+        arr, rng_seed = make_ula(8, 0.5), 6
+        whole = estimate_array_parameter(arr, FOV180, 3000, np.random.default_rng(rng_seed))
+        monkeypatch.setattr(theory, "_ESTIMATE_SLICE", 8 * 7)
+        sliced = estimate_array_parameter(arr, FOV180, 3000, np.random.default_rng(rng_seed))
+        assert (sliced.s, sliced.stderr) == (whole.s, whole.stderr)
 
 
 class TestExactArrayParameter:
