@@ -125,10 +125,9 @@ def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray
     return np.exp(1j * phase_matrix(array, unit_vectors))
 
 
-def _center_response(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray,
-                     steering: np.ndarray | None = None):
+def _center_response(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray):
     """Steering matrices S (..., N, M) of stacked channels, and h0 = S a (..., N)."""
-    s = steering_matrix(array, vectors) if steering is None else steering
+    s = steering_matrix(array, vectors)
     return s, (s @ amplitudes[..., :, None])[..., 0]
 
 
@@ -145,19 +144,17 @@ def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
     return factor - np.conj(amplitudes)
 
 
-def design_beams(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray,
-                 steering: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Both beams of stacked channels with (..., M) amplitudes and (..., M, 3) vectors.
+def design_beams(amplitudes: np.ndarray, steering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both beams of stacked channels with (..., M) amplitudes and (..., N, M)
+    `steering_matrix` S of their path directions.
 
     Returns (..., 2, N) coefficients, `mrc_weights` then `single_direction_weights`
     toward `strongest_component`, and their (..., 2) `noise_power` at unit sigma0.
-    A caller that also needs the vectors' `steering_matrix` passes it as ``steering``,
-    so that it is computed once.
     """
-    s, h0 = _center_response(array, amplitudes, vectors, steering)
+    h0 = (steering @ amplitudes[..., :, None])[..., 0]
     strongest = np.argmax(np.abs(amplitudes), axis=-1)          # ties: lowest index
-    steer = np.take_along_axis(s, strongest[..., None, None], axis=-1)[..., 0]
-    coeffs = np.conj(np.stack([h0, steer], axis=-2)) / array.n_elements
+    steer = np.take_along_axis(steering, strongest[..., None, None], axis=-1)[..., 0]
+    coeffs = np.conj(np.stack([h0, steer], axis=-2)) / steering.shape[-2]
     return coeffs, np.einsum("...n,...n->...", coeffs, coeffs.conj()).real
 
 

@@ -18,6 +18,7 @@ from .geometry import _UNIT_TOL, AntennaArray, Direction, FieldOfView, phase_mat
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
+_KERNEL_SLICE = 1 << 18    # kernel entries `band_power` holds at once: 2 MiB of doubles
 
 
 @dataclass(frozen=True)
@@ -263,15 +264,23 @@ def band_power(gains: np.ndarray, delays: np.ndarray, bandwidth: float, n: int) 
     mean is Re(g K g^H) with the grid's real Dirichlet kernel
     K[m, m'] = sin(n x) / (n sin x), x = pi (bandwidth / (n - 1)) (tau_m - tau_m'):
     M (M - 1) / 2 kernel entries per channel, which all B rows share, where a sum
-    over the grid takes M n tones per row.
+    over the grid takes M n tones per row. K is built a slice of rows at a time,
+    with about `_KERNEL_SLICE` entries over all channels (at least one row each),
+    so memory stays bounded at any M.
     """
     m = delays.shape[-1]
-    rows, cols = np.triu_indices(m, 1)
-    upper = np.zeros(delays.shape[:-1] + (m, m))   # K above the diagonal; K is symmetric
-    upper[..., rows, cols] = _dirichlet(
-        n, bandwidth / (n - 1) * (delays[..., rows] - delays[..., cols]))
-    # g K g^H = sum_m |g_m|^2 + 2 sum_{m < m'} K[m, m'] Re(g_m conj(g_m'))
-    cross = sum(((part @ upper) * part).sum(-1) for part in (gains.real, gains.imag))
+    width = max(1, _KERNEL_SLICE // (delays[..., 0].size * m))     # rows of K per slice
+    step = bandwidth / (n - 1)
+    cross = 0.0
+    for top in range(0, m, width):
+        h = min(width, m - top)
+        rows, cols = np.triu_indices(h, 1, m - top)   # K above the diagonal; K is symmetric
+        upper = np.zeros(delays.shape[:-1] + (h, m - top))
+        upper[..., rows, cols] = _dirichlet(
+            n, step * (delays[..., top + rows] - delays[..., top + cols]))
+        # g K g^H = sum_m |g_m|^2 + 2 sum_{m < m'} K[m, m'] Re(g_m conj(g_m'))
+        cross = cross + sum(((part[..., top:top + h] @ upper) * part[..., top:]).sum(-1)
+                            for part in (gains.real, gains.imag))
     return (gains.real ** 2 + gains.imag ** 2).sum(-1) + 2.0 * cross
 
 

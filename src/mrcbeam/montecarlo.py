@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Not called here; imported only for perfbench/tracing.py to wrap: estimate_array_parameter,
-# mrc_weights, noise_power, pair_gain_matrix, single_direction_weights, strongest_component.
+# mrc_weights, noise_power, pair_gain_matrix, remove_component, single_direction_weights,
+# strongest_component.
 from .beams import (combined_response, cross_beam_interference, design_beams, mrc_weights,
                     noise_power, pair_gain_matrix, single_direction_weights, steering_matrix,
                     strongest_component)
@@ -26,10 +27,6 @@ from .theory import (effective_count, estimate_array_parameter,
                      snr_mrc_theory, snr_single_theory, to_db)
 
 _TRIAL_BLOCK = 256
-# Largest path count whose blockage block runs in closed form. The closed form costs M^2
-# kernel terms per trial, the per-trial grid sum M F tones per beam; at N = 8 and F = 2,
-# where the grid sum is cheapest, the two cost the same near M = 50.
-_CLOSED_FORM_MAX_PATHS = 48
 # size limits of an experiment and of the CLI flags that set them, checked before anything
 # is allocated or started; MAX_TRIALS bounds trials times path counts
 MAX_PATHS, MAX_FREQ_POINTS = 4096, 1 << 20
@@ -217,21 +214,20 @@ def _block_streams(seed: int, m: int, lo: int, hi: int):
         yield np.random.Generator(np.random.PCG64(seed_type(state)))
 
 
-def _draw_block(cfg: ExperimentConfig, block, blockage: bool):
-    """(T, M) amplitudes and (T, M, 3) vectors of a block's channels, each drawn
-    as a `ChannelRealization` from its own stream, and the channels the beams meet:
-    the drawn ones, or with ``blockage`` less one uniformly chosen component drawn
-    next from that stream. `band_average_gain` takes one channel per call.
+def _draw_block(cfg: ExperimentConfig, block):
+    """(T, M) amplitudes and (T, M, 3) vectors of a block's channels, and the
+    channels themselves, each drawn as a `ChannelRealization` from its own stream:
+    `band_average_gain` takes one channel per call.
     """
     m, lo, hi = block
     fov = cfg.fov()
     amplitudes, vectors = np.empty((hi - lo, m), dtype=complex), np.empty((hi - lo, m, 3))
-    applied = []
+    channels = []
     for i, rng in enumerate(_block_streams(cfg.seed, m, lo, hi)):
         channel = sample_channel(m, fov, cfg.delay_max_s, rng)
         amplitudes[i], vectors[i] = channel.amplitudes(), channel.direction_matrix()
-        applied.append(remove_component(channel, int(rng.integers(m))) if blockage else channel)
-    return amplitudes, vectors, applied
+        channels.append(channel)
+    return amplitudes, vectors, channels
 
 
 def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
@@ -245,15 +241,15 @@ def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
     return np.column_stack([(m - counts) / m, counts])
 
 
-def _band_block(blockage: bool, cfg: ExperimentConfig, block) -> np.ndarray:
+def _band_block(cfg: ExperimentConfig, block) -> np.ndarray:
     """Linear band-averaged SNR at unit noise of both beams per trial of a block;
-    all beams are designed at once on the drawn channels and applied to the
-    channels they meet, with ``blockage`` less one path (see `_draw_block`)."""
+    all beams are designed at once, then each trial's two are averaged over the
+    band grid of its channel."""
     array = cfg.array()
-    amplitudes, vectors, applied = _draw_block(cfg, block, blockage)
-    coeffs, noise = design_beams(array, amplitudes, vectors)
+    amplitudes, vectors, channels = _draw_block(cfg, block)
+    coeffs, noise = design_beams(amplitudes, steering_matrix(array, vectors))
     out = np.empty(noise.shape)
-    for i, channel in enumerate(applied):
+    for i, channel in enumerate(channels):
         for j, weights in enumerate(coeffs[i]):
             out[i, j] = band_average_gain(weights, channel, array,
                                           cfg.bandwidth_hz, cfg.freq_points) / noise[i, j]
@@ -261,20 +257,20 @@ def _band_block(blockage: bool, cfg: ExperimentConfig, block) -> np.ndarray:
 
 
 def _blockage_block(cfg: ExperimentConfig, block) -> np.ndarray:
-    """`_band_block` with ``blockage`` in closed form, from the same draws.
+    """Linear band-averaged SNR at unit noise of both beams per trial of a block,
+    each beam designed on the drawn channel and met by it less one path.
 
     A block's channels are drawn as raw arrays, then each stream's blocked
-    index. Both beams are designed on the drawn channels; each beam's tone gain
-    toward a path is (w S) a with the blocked path's amplitude set to 0, and
-    `band_power` averages the tones over the band without a sum over the grid.
+    index. Each beam's tone gain toward a path is (w S) a with the blocked
+    path's amplitude set to 0, and `band_power` averages the tones over the
+    band in closed form.
     """
     m, lo, hi = block
     streams = list(_block_streams(cfg.seed, m, lo, hi))
     amplitudes, vectors, delays = sample_channel(m, cfg.fov(), cfg.delay_max_s, streams)
     blocked = [rng.integers(m) for rng in streams]
-    array = cfg.array()
-    steering = steering_matrix(array, vectors)
-    coeffs, noise = design_beams(array, amplitudes, vectors, steering)
+    steering = steering_matrix(cfg.array(), vectors)
+    coeffs, noise = design_beams(amplitudes, steering)
     amplitudes[np.arange(hi - lo), blocked] = 0.0
     gains = (coeffs @ steering) * amplitudes[:, None, :]           # (T, 2, M)
     return band_power(gains, delays, cfg.bandwidth_hz, cfg.freq_points) / noise
@@ -346,7 +342,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     s = exact_array_parameter(cfg.array(), cfg.fov())
     noise_db = 20.0 * math.log10(cfg.sigma0)
-    results = _run_trials(functools.partial(_band_block, False), cfg, cfg.m_values)
+    results = _run_trials(_band_block, cfg, cfg.m_values)
     cols: dict[str, list[float]] = {name: [] for name in (
         "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
         "single_theory_db", "single_sim_db", "single_sim_stderr_db")}
@@ -370,8 +366,7 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     Requires a single entry in ``m_values`` with at least two paths, so a
     component can be removed. Returns the full sorted per-trial SNR lists
     in dB under the ``samples`` keys "mrc" and "single": each trial's SNR at
-    unit noise in dB, less the noise power 20 log10(sigma0) dB. Up to
-    ``_CLOSED_FORM_MAX_PATHS`` paths the band average is taken in closed form.
+    unit noise in dB, less the noise power 20 log10(sigma0) dB.
     """
     if len(cfg.m_values) != 1:
         raise ValueError("blockage experiment expects exactly one m value")
@@ -379,9 +374,7 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     if m < 2:
         raise ValueError("blockage experiment needs at least two paths")
     noise_db = 20.0 * math.log10(cfg.sigma0)
-    block_fn = (_blockage_block if m <= _CLOSED_FORM_MAX_PATHS
-                else functools.partial(_band_block, True))
-    results = _run_trials(block_fn, cfg, (m,))
+    results = _run_trials(_blockage_block, cfg, (m,))
     cols, samples = {}, {}
     for kind, lin in zip(("mrc", "single"), results[m].T):
         snr_db = 10.0 * np.log10(lin) - noise_db

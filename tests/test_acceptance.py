@@ -19,7 +19,6 @@ from mrcbeam import (Direction, ExperimentConfig, FieldOfView, array_factor,
                      snr_mrc_theory, snr_ratio_theory, snr_single_theory, to_db,
                      trial_rng)
 from mrcbeam.cli import main
-from mrcbeam.montecarlo import _CLOSED_FORM_MAX_PATHS
 
 SEED = 1
 SAMPLES = 100_000
@@ -236,8 +235,8 @@ def test_criterion_8_determinism_across_workers(tmp_path, announce):
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
     blockage = ["blockage-cdf", "--elements", "4", "--m-paths", "4",
                 "--trials", "48", "--freq-points", "64", "--seed", "13"]
-    # above the closed form's path limit, blockage band-averages trial by trial
-    wide = ["blockage-cdf", "--elements", "4", "--m-paths", str(_CLOSED_FORM_MAX_PATHS + 1),
+    # with this many paths the blockage kernel is built in slices of rows
+    wide = ["blockage-cdf", "--elements", "4", "--m-paths", "128",
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
     labels = ("snr_csv", "snr_json", "blk_csv", "wide_blk_csv")
     for workers in (1, 4, 16):

@@ -12,7 +12,7 @@ from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
                      pattern_gain_db, per_antenna_response, phase_matrix, remove_component,
                      sample_channel, single_direction_weights, steering_vector,
                      strongest_component)
-from mrcbeam.beams import cross_beam_interference, design_beams
+from mrcbeam.beams import cross_beam_interference, design_beams, steering_matrix
 from mrcbeam.channel import even_grid
 
 FOV180 = FieldOfView.from_degrees(180)
@@ -292,7 +292,7 @@ class TestDesignBeams:
         arr = make_ula(n, 0.5)
         channels = [_random_channel(m, seed) for seed in range(70, 82)]
         amplitudes, vectors = TestCrossBeamInterference._stack(channels)
-        coeffs, noise = design_beams(arr, amplitudes, vectors)
+        coeffs, noise = design_beams(amplitudes, steering_matrix(arr, vectors))
         assert coeffs.shape == (len(channels), 2, n) and noise.shape == (len(channels), 2)
         for ch, (c_mrc, c_single), p in zip(channels, coeffs, noise):
             strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
@@ -305,7 +305,7 @@ class TestDesignBeams:
         arr = make_ula(6, 0.5)
         drawn = _random_channel(4, seed=82)
         amplitudes = np.array([[0.5, 1j, -1.0, 0.3]])            # |a_1| == |a_2|
-        coeffs, _ = design_beams(arr, amplitudes, drawn.direction_matrix()[None])
+        coeffs, _ = design_beams(amplitudes, steering_matrix(arr, drawn.direction_matrix()[None]))
         tied = ChannelRealization.from_arrays(amplitudes[0], drawn.direction_matrix(),
                                               drawn.delays())
         assert strongest_component(tied) == 1

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfVie
                      run_blockage_experiment, run_effectiveness_sweep, run_snr_sweep,
                      sample_channel)
 from mrcbeam.channel import _dirichlet, band_power, even_grid, tone_sum
-from mrcbeam.montecarlo import _CLOSED_FORM_MAX_PATHS
 
 
 def _component(alpha, theta=0.0, delay=0.0):
@@ -186,9 +186,8 @@ def test_trial_loop_builds_no_per_path_objects(monkeypatch):
     with pytest.raises(AssertionError):
         sample_channel(2, FieldOfView.from_degrees(180), 1e-9, np.random.default_rng(0))
     run_effectiveness_sweep(ExperimentConfig(n_elements=4, m_values=(1, 3), trials=300))
-    # so does the blockage experiment up to the closed form's path limit
-    run_blockage_experiment(ExperimentConfig(n_elements=4, m_values=(_CLOSED_FORM_MAX_PATHS,),
-                                             trials=300))
+    # so does the blockage experiment, also where its kernel is built in slices
+    run_blockage_experiment(ExperimentConfig(n_elements=4, m_values=(64,), trials=300))
 
 
 class TestToneSum:
@@ -299,6 +298,31 @@ class TestBandPower:
         gains = rng.standard_normal((4, 2, 6)) + 1j * rng.standard_normal((4, 2, 6))
         got = band_power(gains, rng.uniform(0, 1e-7, (4, 6)), 0.0, 16)
         np.testing.assert_allclose(got, np.abs(gains.sum(-1)) ** 2, rtol=1e-13)
+
+    @pytest.mark.parametrize("kernel_slice", [1, 5 * 37 * 3, 5 * 37 * 36])
+    def test_slices_of_rows_give_the_same_mean(self, monkeypatch, kernel_slice):
+        # one row, three rows or all but the last row of K per slice, against one slice
+        rng = np.random.default_rng(4)
+        gains = rng.standard_normal((5, 2, 37)) + 1j * rng.standard_normal((5, 2, 37))
+        delays = rng.uniform(0, 1e-7, (5, 37))
+        whole = band_power(gains, delays, self.BANDWIDTH, 1024)
+        monkeypatch.setattr(mrcbeam.channel, "_KERNEL_SLICE", kernel_slice)
+        sliced = band_power(gains, delays, self.BANDWIDTH, 1024)
+        np.testing.assert_allclose(sliced, whole, rtol=1e-13, atol=0)
+
+    def test_kernel_memory_is_bounded_at_many_paths(self):
+        # K of 2 channels of 2048 paths would take 64 MiB at once, and its
+        # evaluation several times that
+        rng = np.random.default_rng(5)
+        gains = rng.standard_normal((2, 2, 2048)) + 1j * rng.standard_normal((2, 2, 2048))
+        delays = rng.uniform(0, 1e-7, (2, 2048))
+        tracemalloc.start()
+        try:
+            band_power(gains, delays, self.BANDWIDTH, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestEvenGrid:

@@ -17,8 +17,7 @@ from mrcbeam import (ChannelRealization, Direction,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
 from mrcbeam.beams import steering_matrix
-from mrcbeam.montecarlo import (_CLOSED_FORM_MAX_PATHS, MAX_TRIALS, MAX_WORKERS, _block_pools,
-                                _block_streams, _words)
+from mrcbeam.montecarlo import MAX_TRIALS, MAX_WORKERS, _block_pools, _block_streams, _words
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -240,12 +239,12 @@ class TestBandBlock:
                 assert res.columns[f"{kind}_sim_stderr_db"][i] == pytest.approx(
                     10 / np.log(10) * err / mean, rel=1e-12)
 
-    # in closed form at or below the path limit, by per-trial tone sums above it; with
+    # at 64 paths a 256-trial block's kernel is built in four slices of rows; with
     # 5 us of delay the tone phases reach 1.6e4 rad, so there the oracle is long double
     @pytest.mark.parametrize("m, extra, precise", [
-        (5, {}, False), (_CLOSED_FORM_MAX_PATHS + 1, {}, False),
+        (5, {}, False), (64, {}, False),
         (5, {"delay_max_ns": 5000.0, "freq_points": 1000}, True)],
-        ids=["closed-form", "per-trial", "long-delays"])
+        ids=["few-paths", "many-paths", "long-delays"])
     def test_blockage_matches_per_trial_loop(self, m, extra, precise):
         cfg = ExperimentConfig(n_elements=6, m_values=(m,), trials=300, seed=31, sigma0=0.7,
                                **extra)
