@@ -18,7 +18,7 @@ from .geometry import _UNIT_TOL, AntennaArray, Direction, FieldOfView, phase_mat
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
-_KERNEL_SLICE = 1 << 18    # kernel entries `band_power` holds at once: 2 MiB of doubles
+_KERNEL_SLICE = 1 << 15    # kernel entries `band_power` holds at once: 256 KiB, cache-sized
 
 
 @dataclass(frozen=True)

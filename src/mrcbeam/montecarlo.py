@@ -279,15 +279,16 @@ def _blockage_block(cfg: ExperimentConfig, block) -> np.ndarray:
 def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
     """(trials, 2) results of ``block_fn(cfg, block)`` for every m, in trial order.
 
-    Trials run in fixed blocks, serially or on a process pool of at most
-    one worker per block; the blocks are put back together in trial order
-    either way.
+    Trials run in fixed blocks, serially or on a process pool in which every
+    worker gets at least two blocks: a block costs less than starting a worker,
+    so runs of fewer than four blocks stay in process. The blocks are put back
+    together in trial order either way.
     """
     blocks = [(m, lo, min(lo + _TRIAL_BLOCK, cfg.trials))
               for m in m_values for lo in range(0, cfg.trials, _TRIAL_BLOCK)]
     fn = functools.partial(block_fn, cfg)
-    workers = min(cfg.workers, len(blocks))
-    if workers == 1:
+    workers = min(cfg.workers, len(blocks) // 2)
+    if workers <= 1:
         outputs = [fn(b) for b in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import

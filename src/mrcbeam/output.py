@@ -8,7 +8,6 @@ round-trip form and JSON keys are sorted.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import re
@@ -67,6 +66,8 @@ def _write_text(text: str, path: str | None) -> None:
 def run_metadata(command: str, cfg_dict: dict) -> dict:
     """Config fingerprint for result provenance; wall-clock free so reruns
     of the same configuration stay byte-identical."""
+    import hashlib  # only JSON output hashes the config, so starting the CLI skips it
+
     from . import __version__
 
     digest = hashlib.sha256(

@@ -6,6 +6,7 @@ the published curves for half-wavelength uniform line arrays; one check
 is known not to hold and carries its numeric analysis inline.
 """
 
+import concurrent.futures
 import time
 
 import numpy as np
@@ -229,7 +230,7 @@ def test_criterion_7_identity_suite(announce):
              f"{checked} channels, worst identity error {worst:.2e}")
 
 
-def test_criterion_8_determinism_across_workers(tmp_path, announce):
+def test_criterion_8_determinism_across_workers(tmp_path, announce, monkeypatch):
     runs = {}
     base = ["snr-sweep", "--elements", "4", "--m-min", "2", "--m-max", "3",
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
@@ -238,18 +239,33 @@ def test_criterion_8_determinism_across_workers(tmp_path, announce):
     # with this many paths the blockage kernel is built in slices of rows
     wide = ["blockage-cdf", "--elements", "4", "--m-paths", "128",
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
-    labels = ("snr_csv", "snr_json", "blk_csv", "wide_blk_csv")
+    # eight blocks: the only case with two blocks per worker, so it runs on a real pool
+    pooled = ["blockage-cdf", "--elements", "4", "--m-paths", "4",
+              "--trials", "2048", "--freq-points", "64", "--seed", "13"]
+    labels = ("snr_csv", "snr_json", "blk_csv", "wide_blk_csv", "pooled_blk_csv")
+    pools = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        """The real pool, recording which run started one and of what size."""
+
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append((label, workers, max_workers))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     for workers in (1, 4, 16):
         for label, argv, fmt in (("snr_csv", base, "csv"),
                                  ("snr_json", base, "json"),
                                  ("blk_csv", blockage, "csv"),
-                                 ("wide_blk_csv", wide, "csv")):
+                                 ("wide_blk_csv", wide, "csv"),
+                                 ("pooled_blk_csv", pooled, "csv")):
             for attempt in ("a", "b"):
                 path = tmp_path / f"{label}_{workers}_{attempt}.{fmt}"
                 code = main(argv + ["--workers", str(workers), "--format", fmt,
                                     "--output", str(path)])
                 assert code == 0
                 runs[(label, workers, attempt)] = path.read_bytes()
+    assert pools == [("pooled_blk_csv", w, 4) for w in (4, 4, 16, 16)]
     ok = all(runs[(label, w, "a")] == runs[(label, 1, "a")]
              and runs[(label, w, "b")] == runs[(label, w, "a")]
              for label in labels for w in (1, 4, 16))

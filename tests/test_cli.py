@@ -327,6 +327,15 @@ def test_cli_import_starts_no_multiprocessing():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_cli_import_imports_no_hashlib():
+    # only JSON output hashes the config; hashlib's import cost every --help about 4 ms
+    src = str(Path(mrcbeam.__file__).resolve().parents[1])
+    code = "import sys, mrcbeam.cli; sys.exit('hashlib' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def _refuse_constant(name):
     raise ValueError(f"not standard JSON: {name}")
 
@@ -376,8 +385,9 @@ class TestDeterministicOutput:
             files[workers] = path.read_bytes()
         assert files[1] == files[4]
 
-    def test_pool_skipped_for_one_block_and_capped_at_block_count(self, tmp_path,
-                                                                  monkeypatch):
+    def test_pool_started_only_with_two_blocks_per_worker(self, tmp_path, monkeypatch):
+        # a 256-trial block costs less than starting a worker, so the pool has
+        # min(workers, blocks // 2) workers and is skipped when that is 1
         sizes = []
 
         class SerialPool:
@@ -403,7 +413,19 @@ class TestDeterministicOutput:
             return path.read_bytes()
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        assert run(200, 4) == run(200, 1)       # one block of 256 trials
+        for trials in (200, 300):                # one and two blocks of 256 trials
+            serial = run(trials, 1)
+            assert run(trials, 4) == serial and run(trials, 16) == serial
         assert sizes == []
-        assert run(300, 16) == run(300, 1)      # two blocks
+        assert run(1200, 16) == run(1200, 1)    # five blocks: two each for two workers
         assert sizes == [2]
+
+    def test_two_blocks_at_two_workers_start_no_pool(self, tmp_path, monkeypatch):
+        # perfbench's blockage-n8-w2 argv: its two blocks cost less than a worker
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert main(["blockage-cdf", "--elements", "8", "--m-paths", "20", "--trials", "512",
+                     "--format", "csv", "--workers", "2", "--seed", "0",
+                     "--output", str(tmp_path / "out.csv")]) == 0

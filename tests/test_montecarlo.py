@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from mrcbeam import (ChannelRealization, Direction,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
 from mrcbeam.beams import steering_matrix
-from mrcbeam.montecarlo import MAX_TRIALS, MAX_WORKERS, _block_pools, _block_streams, _words
+from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, _block_pools, _block_streams,
+                                _blockage_block, _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -239,7 +241,7 @@ class TestBandBlock:
                 assert res.columns[f"{kind}_sim_stderr_db"][i] == pytest.approx(
                     10 / np.log(10) * err / mean, rel=1e-12)
 
-    # at 64 paths a 256-trial block's kernel is built in four slices of rows; with
+    # at 64 paths a 256-trial block's kernel is built two rows at a time; with
     # 5 us of delay the tone phases reach 1.6e4 rad, so there the oracle is long double
     @pytest.mark.parametrize("m, extra, precise", [
         (5, {}, False), (64, {}, False),
@@ -409,6 +411,19 @@ class TestBlockage:
         for v in small.samples["mrc"]:
             remaining.remove(v)  # raises ValueError if the first half changed
         assert len(remaining) == 30
+
+    def test_block_memory_is_cache_sized(self):
+        # a 256-trial block at N=8, M=20 builds K six rows at a time; built whole,
+        # K and its evaluation lifted the block's peak to 4.7 MiB
+        cfg = ExperimentConfig(n_elements=8, m_values=(20,), trials=256)
+        _blockage_block(cfg, (20, 0, 256))          # first-call caches and imports
+        tracemalloc.start()
+        try:
+            _blockage_block(cfg, (20, 0, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (1 << 20)
 
     def test_blocking_strongest_leaves_sidelobe_energy(self):
         # two paths, beam pointed at the stronger one, stronger one removed:
