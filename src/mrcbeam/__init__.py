@@ -6,14 +6,13 @@ wideband SNR predictions, and seeded Monte Carlo experiments. A beam is
 its (N,) complex weight vector, a plain numpy array.
 """
 
-from .beams import (Decomposition, DecompositionTerm, EffectivenessReport,
-                    array_factor, classify_effectiveness, combined_response,
+from .beams import (Decomposition, EffectivenessReport, array_factor,
+                    classify_effectiveness, combined_response,
                     component_array_factor, decompose, interference_term,
                     mrc_weights, noise_power, pair_gain_matrix, pattern_gain_db,
                     single_direction_weights, strongest_component)
-from .channel import (ChannelRealization, MultipathComponent, channel_from_json,
-                      channel_to_json, per_antenna_response, remove_component,
-                      sample_channel)
+from .channel import (ChannelRealization, channel_from_json, channel_to_json,
+                      per_antenna_response, remove_component, sample_channel)
 from .geometry import (AntennaArray, Direction, FieldOfView, broadside,
                        make_ula, phase_matrix, steering_vector)
 from .montecarlo import (ExperimentConfig, SweepResult, band_average_gain,
@@ -29,10 +28,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray", "ArrayParameterEstimate", "ChannelRealization",
-    "Decomposition", "DecompositionTerm", "Direction", "EULER_GAMMA",
-    "EffectivenessReport", "ExperimentConfig", "FieldOfView",
-    "MultipathComponent", "SweepResult", "array_factor", "band_average_gain",
-    "broadside", "channel_from_json", "channel_to_json",
+    "Decomposition", "Direction", "EULER_GAMMA", "EffectivenessReport",
+    "ExperimentConfig", "FieldOfView", "SweepResult", "array_factor",
+    "band_average_gain", "broadside", "channel_from_json", "channel_to_json",
     "classify_effectiveness", "combined_response", "component_array_factor",
     "conditional_ineffectiveness", "decompose", "effective_count",
     "estimate_array_parameter", "exact_array_parameter", "harmonic_number",

@@ -17,24 +17,18 @@ from .channel import ChannelRealization, tone_sum
 from .geometry import AntennaArray, Direction, phase_matrix, steering_vector
 
 
-@dataclass(frozen=True)
-class DecompositionTerm:
-    """One path's contribution to the array factor at the probe direction."""
-
-    component: int
-    weight: complex          # conjugated path amplitude
-    pattern_gain: complex    # sub-beam array factor at the probe
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Array factor split into per-path terms; their sum is the full factor."""
+    """Array factor at ``probe`` split per path: path m adds weights[m], its conjugated
+    amplitude, times pattern_gains[m], its sub-beam's gain toward the probe. The M terms
+    sum to the full factor. Equality is identity: arrays have no single truth value."""
 
-    terms: tuple[DecompositionTerm, ...]
+    weights: np.ndarray
+    pattern_gains: np.ndarray
     probe: Direction
 
     def total(self) -> complex:
-        return sum((t.weight * t.pattern_gain for t in self.terms), 0j)
+        return complex(self.weights @ self.pattern_gains)
 
 
 @dataclass(frozen=True)
@@ -114,10 +108,7 @@ def component_array_factor(array: AntennaArray, k_m: Direction, r: Direction) ->
 def decompose(channel: ChannelRealization, array: AntennaArray, r: Direction) -> Decomposition:
     """Split the combining beam's array factor at ``r`` into per-path terms."""
     g = pair_gain_matrix(array, np.vstack([channel.direction_matrix(), r.vector]))
-    conj_a = np.conj(channel.amplitudes())
-    terms = tuple(DecompositionTerm(m, complex(conj_a[m]), complex(g[m, -1]))
-                  for m in range(channel.m_paths))
-    return Decomposition(terms, r)
+    return Decomposition(np.conj(channel.amplitudes()), g[:-1, -1], r)
 
 
 def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,50 +20,21 @@ _SQRT2 = np.sqrt(2.0)
 _KERNEL_SLICE = 1 << 15    # kernel entries `band_power` holds at once: 256 KiB, cache-sized
 
 
-@dataclass(frozen=True)
-class MultipathComponent:
-    """One plane wave: complex amplitude, arrival direction, delay in seconds."""
-
-    alpha: complex
-    direction: Direction
-    delay: float
-
-    def __post_init__(self):
-        if not self.delay >= 0.0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-
-
 class ChannelRealization:
     """M plane waves held as three read-only arrays; index order is stable.
 
     ``amplitudes()`` is (M,) complex, ``direction_matrix()`` (M, 3) unit
-    arrival vectors and ``delays()`` (M,) seconds. Build one with
-    `from_arrays`, or from a sequence of `MultipathComponent`; both go
-    through the same validation.
+    arrival vectors and ``delays()`` (M,) seconds. The constructor copies its
+    arguments, so later writes to them do not reach the channel, and refuses
+    wrong shapes, no paths, non-finite amplitudes, non-unit vectors and
+    negative delays.
     """
 
     __slots__ = ("_amplitudes", "_vectors", "_delays")
 
-    def __init__(self, components):
-        comps = tuple(components)
-        self._store(np.array([c.alpha for c in comps], dtype=complex),
-                    np.array([c.direction.vector for c in comps], dtype=float).reshape(-1, 3),
-                    np.array([c.delay for c in comps], dtype=float))
-
-    @classmethod
-    def from_arrays(cls, amplitudes, vectors, delays) -> "ChannelRealization":
-        """Channel from (M,) complex amplitudes, (M, 3) unit vectors and (M,) delays.
-
-        The arrays are copied, so later writes to the arguments do not
-        reach the channel.
-        """
-        channel = cls.__new__(cls)
-        channel._store(np.array(amplitudes, dtype=complex), np.array(vectors, dtype=float),
-                       np.array(delays, dtype=float))
-        return channel
-
-    def _store(self, amplitudes: np.ndarray, vectors: np.ndarray, delays: np.ndarray) -> None:
-        """Validate freshly copied arrays, freeze them and keep them."""
+    def __init__(self, amplitudes, vectors, delays):
+        amplitudes = np.array(amplitudes, dtype=complex)
+        vectors, delays = np.array(vectors, dtype=float), np.array(delays, dtype=float)
         if (amplitudes.ndim != 1 or vectors.shape != (amplitudes.size, 3)
                 or delays.shape != amplitudes.shape):
             raise ValueError(f"expected (M,) amplitudes, (M, 3) vectors and (M,) delays, got "
@@ -89,18 +59,12 @@ class ChannelRealization:
         return self
 
     def __reduce__(self):
-        # pickling and copying rebuild through the same validation
-        return type(self).from_arrays, (self._amplitudes, self._vectors, self._delays)
+        # pickling and copying rebuild through the constructor's validation
+        return type(self), (self._amplitudes, self._vectors, self._delays)
 
     @property
     def m_paths(self) -> int:
         return self._amplitudes.size
-
-    @property
-    def components(self) -> tuple[MultipathComponent, ...]:
-        """Per-path view, built anew on every access."""
-        return tuple(MultipathComponent(complex(a), Direction(v), float(d))
-                     for a, v, d in zip(self._amplitudes, self._vectors, self._delays))
 
     def amplitudes(self) -> np.ndarray:
         return self._amplitudes
@@ -336,14 +300,20 @@ def channel_from_json(record) -> ChannelRealization:
     entries = record.get("components") if isinstance(record, dict) else None
     if not isinstance(entries, list):
         raise ValueError("channel JSON must be an object with a 'components' list")
-    comps = []
+    amplitudes, vectors, delays = (np.empty(len(entries), dtype=complex),
+                                   np.empty((len(entries), 3)), np.empty(len(entries)))
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"channel component {i} must be an object")
         re, im, kx, ky, kz, delay_ns = (_finite_field(entry, key, i) for key in _JSON_FIELDS)
-        comps.append(MultipathComponent(complex(re, im), Direction.from_vector([kx, ky, kz]),
-                                        delay_ns * 1e-9))
-    return ChannelRealization(tuple(comps))
+        try:
+            vectors[i] = Direction.from_vector([kx, ky, kz]).vector
+        except ValueError as exc:
+            raise ValueError(f"channel component {i}: {exc}") from None
+        if delay_ns < 0:
+            raise ValueError(f"channel component {i}: 'delay_ns' must be >= 0, got {delay_ns!r}")
+        amplitudes[i], delays[i] = complex(re, im), delay_ns * 1e-9
+    return ChannelRealization(amplitudes, vectors, delays)
 
 
 def _finite_field(entry: dict, key: str, i: int):

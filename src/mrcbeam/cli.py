@@ -234,6 +234,12 @@ def _cmd_blockage(args) -> None:
 def _cmd_beam_pattern(args) -> None:
     with open(args.channel_file) as fh:
         channel = channel_from_json(json.load(fh))
+    # these weights give |F| <= sum |a_m| <= 2 M max(|Re a|, |Im a|), a bound that
+    # floats reach without a warning; its square must be finite for finite gains
+    bound = 2.0 * channel.m_paths * float(np.abs(channel.amplitudes().view(float)).max())
+    if not bound * bound < math.inf:
+        raise ValueError(f"channel amplitudes are too large for a finite beam pattern "
+                         f"(gain bound {bound:.3g})")
     array = make_ula(args.elements, args.spacing)
     weights = mrc_weights(channel, array)
     step = args.grid_deg

@@ -43,12 +43,14 @@ class Direction:
 
     @classmethod
     def from_vector(cls, vec) -> "Direction":
-        """Normalize an arbitrary nonzero 3-vector into a Direction."""
+        """Normalize any finite nonzero 3-vector into a Direction."""
         vec = np.asarray(vec, dtype=float)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0 or not np.isfinite(norm):
+        peak = np.abs(vec).max(initial=0.0)
+        if not 0.0 < peak < np.inf:                 # also rejects NaN
             raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(vec / norm)
+        # a power-of-two scale is exact and keeps the norm from over- or underflowing
+        vec = np.ldexp(vec, -np.frexp(peak)[1])
+        return cls(vec / np.linalg.norm(vec))
 
     @classmethod
     def from_broadside_angle(cls, theta: float) -> "Direction":

@@ -189,22 +189,14 @@ def snr_mrc_theory(n_elements: int, m_paths: int, s: float, sigma0: float) -> fl
     return _per_noise(n_elements, sigma0, 2.0 + (m_paths - 1) * s)
 
 
-def snr_single_theory(n_elements: int, m_paths: int, s: float, sigma0: float,
-                      harmonic_mode: str = "asymptotic") -> float:
+def snr_single_theory(n_elements: int, m_paths: int, s: float, sigma0: float) -> float:
     """Band-averaged SNR (linear) of a beam steered at the strongest path.
 
-    The strongest of M unit-mean exponential path powers has mean H_M;
-    ``harmonic_mode`` selects the asymptotic form ln(M) + gamma
-    ("asymptotic", the default) or the exact harmonic number ("exact").
+    The strongest of M unit-mean exponential path powers has mean H_M, taken
+    in its asymptotic form ln(M) + gamma.
     """
     _check_snr_args(n_elements, m_paths, sigma0)
-    if harmonic_mode == "asymptotic":
-        peak = math.log(m_paths) + EULER_GAMMA
-    elif harmonic_mode == "exact":
-        peak = harmonic_number(m_paths)
-    else:
-        raise ValueError(f"harmonic_mode must be 'asymptotic' or 'exact', got {harmonic_mode!r}")
-    return _per_noise(n_elements, sigma0, peak + (m_paths - 1) * s)
+    return _per_noise(n_elements, sigma0, math.log(m_paths) + EULER_GAMMA + (m_paths - 1) * s)
 
 
 def snr_ratio_theory(m_paths: int, s: float) -> float:

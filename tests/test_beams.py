@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
-                     MultipathComponent, array_factor, band_average_gain, broadside,
+                     array_factor, band_average_gain, broadside,
                      classify_effectiveness, combined_response,
                      component_array_factor, decompose, interference_term,
                      make_ula, mrc_weights, noise_power, pair_gain_matrix,
@@ -18,8 +18,17 @@ from mrcbeam.channel import even_grid
 FOV180 = FieldOfView.from_degrees(180)
 
 
-def _component(alpha, theta=0.0, delay=0.0):
-    return MultipathComponent(alpha, Direction.from_broadside_angle(theta), delay)
+def _channel(alphas, thetas=0.0, delays=0.0):
+    """Channel of paths in the x-y plane at broadside angles ``thetas`` (radians)."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=float), alphas.shape)
+    vectors = np.stack([np.sin(thetas), np.cos(thetas), np.zeros_like(thetas)], axis=-1)
+    return ChannelRealization(alphas, vectors, np.broadcast_to(delays, alphas.shape))
+
+
+def _direction(ch, m):
+    """Arrival direction of path m."""
+    return Direction(ch.direction_matrix()[m])
 
 
 def _random_channel(m, seed):
@@ -41,32 +50,30 @@ PLANAR_3X3 = AntennaArray(
 
 
 def example_channel(alpha4):
-    amps = [0.5, 1.0, 1.5, alpha4]
-    return ChannelRealization(tuple(
-        MultipathComponent(complex(a), Direction.from_vector(k), 0.0)
-        for a, k in zip(amps, EXAMPLE_DIRECTIONS)))
+    vectors = [Direction.from_vector(k).vector for k in EXAMPLE_DIRECTIONS]
+    return ChannelRealization([0.5, 1.0, 1.5, alpha4], vectors, np.zeros(4))
 
 
 class TestMrcWeights:
     def test_single_path_single_element_conjugates(self):
-        ch = ChannelRealization((_component(2.0 + 0.0j),))
+        ch = _channel(2.0 + 0.0j)
         w = mrc_weights(ch, make_ula(1, 0.5))
         np.testing.assert_allclose(w, [2.0 - 0.0j], atol=1e-15)
 
     def test_single_path_collinear_with_steering(self):
         arr = make_ula(6, 0.5)
         alpha = 0.4 - 1.2j
-        ch = ChannelRealization((_component(alpha, 0.7, 30e-9),))
+        ch = _channel(alpha, 0.7, 30e-9)
         w = mrc_weights(ch, arr)
-        w_point = single_direction_weights(arr, ch.components[0].direction)
+        w_point = single_direction_weights(arr, _direction(ch, 0))
         np.testing.assert_allclose(w, np.conj(alpha) * w_point, atol=1e-14)
 
     def test_termwise_reconstruction(self):
         arr = make_ula(5, 0.5)
         ch = _random_channel(7, seed=10)
         expected = np.zeros(5, dtype=complex)
-        for c in ch.components:
-            expected += np.conj(c.alpha) * np.conj(steering_vector(arr, c.direction))
+        for m, a in enumerate(ch.amplitudes()):
+            expected += np.conj(a) * np.conj(steering_vector(arr, _direction(ch, m)))
         expected /= arr.n_elements
         np.testing.assert_allclose(mrc_weights(ch, arr), expected, atol=1e-12)
 
@@ -91,15 +98,14 @@ class TestSingleDirectionWeights:
 
 class TestStrongestComponent:
     def test_picks_largest_amplitude(self):
-        ch = ChannelRealization(tuple(_component(a, 0.1 * i)
-                                      for i, a in enumerate((0.5, 1.5, 1.0))))
+        ch = _channel([0.5, 1.5, 1.0], 0.1 * np.arange(3))
         assert strongest_component(ch) == 1
 
     def test_single_component(self):
-        assert strongest_component(ChannelRealization((_component(0.1),))) == 0
+        assert strongest_component(_channel(0.1)) == 0
 
     def test_tie_goes_to_lowest_index(self):
-        ch = ChannelRealization((_component(1.0, 0.0), _component(1j, 0.5)))
+        ch = _channel([1.0, 1j], [0.0, 0.5])
         assert strongest_component(ch) == 0
 
 
@@ -107,18 +113,18 @@ class TestArrayFactor:
     def test_mrc_single_path_gain_is_conjugate_amplitude(self):
         arr = make_ula(8, 0.5)
         alpha = 1.1 - 0.4j
-        ch = ChannelRealization((_component(alpha, 0.25),))
+        ch = _channel(alpha, 0.25)
         w = mrc_weights(ch, arr)
-        got = array_factor(w, arr, ch.components[0].direction)
+        got = array_factor(w, arr, _direction(ch, 0))
         assert got == pytest.approx(np.conj(alpha), abs=1e-12)
 
     def test_gain_splits_into_amplitude_plus_interference(self):
         arr = make_ula(8, 0.5)
         ch = _random_channel(6, seed=11)
         w = mrc_weights(ch, arr)
-        for h, comp in enumerate(ch.components):
-            total = array_factor(w, arr, comp.direction)
-            expected = np.conj(comp.alpha) + interference_term(ch, arr, h)
+        for h, a in enumerate(ch.amplitudes()):
+            total = array_factor(w, arr, _direction(ch, h))
+            expected = np.conj(a) + interference_term(ch, arr, h)
             assert total == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
@@ -158,10 +164,21 @@ class TestComponentArrayFactor:
 class TestDecomposition:
     def test_single_path_single_term(self):
         arr = make_ula(4, 0.5)
-        ch = ChannelRealization((_component(0.3 + 0.6j, 0.2),))
+        ch = _channel(0.3 + 0.6j, 0.2)
         dec = decompose(ch, arr, broadside())
-        assert len(dec.terms) == 1
-        assert dec.terms[0].weight == pytest.approx(0.3 - 0.6j)
+        assert dec.weights.shape == dec.pattern_gains.shape == (1,)
+        assert dec.weights[0] == pytest.approx(0.3 - 0.6j)
+
+    def test_arrays_are_conjugate_amplitudes_and_sub_beam_gains(self):
+        arr = make_ula(8, 0.5)
+        ch = _random_channel(6, seed=13)
+        r = Direction.from_broadside_angle(0.3)
+        dec = decompose(ch, arr, r)
+        assert dec.probe == r and dec.weights.shape == dec.pattern_gains.shape == (6,)
+        np.testing.assert_array_equal(dec.weights, np.conj(ch.amplitudes()))
+        for m, gain in enumerate(dec.pattern_gains):
+            assert gain == pytest.approx(component_array_factor(arr, _direction(ch, m), r),
+                                         abs=1e-12)
 
     def test_sum_matches_full_array_factor(self):
         arr = make_ula(8, 0.5)
@@ -175,15 +192,14 @@ class TestDecomposition:
 
     def test_example_channel_terms_peak_at_own_direction(self):
         ch = example_channel(0.6)
-        dirs = [c.direction for c in ch.components]
-        mags = np.array([[abs(decompose(ch, PLANAR_3X3, r).terms[m].pattern_gain)
-                          for r in dirs] for m in range(4)])
+        mags = np.abs([decompose(ch, PLANAR_3X3, _direction(ch, h)).pattern_gains
+                       for h in range(4)]).T
         assert (np.argmax(mags, axis=1) == np.arange(4)).all()
 
 
 class TestInterferenceTerm:
     def test_single_path_is_zero(self):
-        ch = ChannelRealization((_component(1.0),))
+        ch = _channel(1.0)
         assert interference_term(ch, make_ula(8, 0.5), 0) == 0
 
     def test_matches_explicit_pairwise_sum(self):
@@ -194,8 +210,8 @@ class TestInterferenceTerm:
             expected = 0j
             for m in range(4):
                 if m != h:
-                    expected += np.conj(ch.components[m].alpha) * component_array_factor(
-                        arr, ch.components[m].direction, ch.components[h].direction)
+                    expected += np.conj(ch.amplitudes()[m]) * component_array_factor(
+                        arr, _direction(ch, m), _direction(ch, h))
             assert interference_term(ch, arr, h) == pytest.approx(expected, abs=1e-12)
 
     def test_example_channel_interference_level(self):
@@ -209,8 +225,8 @@ class TestInterferenceTerm:
         arr = make_ula(8, 0.5)
         ch = _random_channel(9, seed=16)
         w = mrc_weights(ch, arr)
-        for h, comp in enumerate(ch.components):
-            expected = array_factor(w, arr, comp.direction) - np.conj(comp.alpha)
+        for h, a in enumerate(ch.amplitudes()):
+            expected = array_factor(w, arr, _direction(ch, h)) - np.conj(a)
             assert interference_term(ch, arr, h) == pytest.approx(expected, abs=1e-12)
 
     def test_index_out_of_range(self):
@@ -221,7 +237,7 @@ class TestInterferenceTerm:
 
 class TestClassifyEffectiveness:
     def test_single_path_always_effective(self):
-        report = classify_effectiveness(ChannelRealization((_component(0.01),)),
+        report = classify_effectiveness(_channel(0.01),
                                         make_ula(8, 0.5))
         assert report.effective.tolist() == [True]
         assert report.n_effective == 1 and report.fraction_ineffective == 0.0
@@ -236,10 +252,10 @@ class TestClassifyEffectiveness:
         arr = make_ula(8, 0.5)
         ch = _random_channel(8, seed=18)
         report = classify_effectiveness(ch, arr)
-        for h, comp in enumerate(ch.components):
+        for h, a in enumerate(ch.amplitudes()):
             assert report.interference[h] == pytest.approx(
                 abs(interference_term(ch, arr, h)), abs=1e-12)
-            assert report.amplitudes[h] == pytest.approx(abs(comp.alpha), abs=1e-15)
+            assert report.amplitudes[h] == pytest.approx(abs(a), abs=1e-15)
             assert report.effective[h] == (report.amplitudes[h] >= report.interference[h])
 
 
@@ -306,8 +322,7 @@ class TestDesignBeams:
         drawn = _random_channel(4, seed=82)
         amplitudes = np.array([[0.5, 1j, -1.0, 0.3]])            # |a_1| == |a_2|
         coeffs, _ = design_beams(amplitudes, steering_matrix(arr, drawn.direction_matrix()[None]))
-        tied = ChannelRealization.from_arrays(amplitudes[0], drawn.direction_matrix(),
-                                              drawn.delays())
+        tied = ChannelRealization(amplitudes[0], drawn.direction_matrix(), drawn.delays())
         assert strongest_component(tied) == 1
         steer = single_direction_weights(arr, Direction(drawn.direction_matrix()[1]))
         np.testing.assert_allclose(coeffs[0, 1], steer, rtol=0, atol=1e-15)
@@ -337,7 +352,8 @@ class TestCombinedResponse:
         w = mrc_weights(ch, arr)
         f = 2.2e8
         for idx in range(ch.m_paths):
-            alone = ChannelRealization((ch.components[idx],))
+            alone = ChannelRealization(ch.amplitudes()[[idx]], ch.direction_matrix()[[idx]],
+                                       ch.delays()[[idx]])
             expected = (combined_response(w, ch, arr, f)
                         - combined_response(w, alone, arr, f))
             got = combined_response(w, remove_component(ch, idx), arr, f)
@@ -346,8 +362,8 @@ class TestCombinedResponse:
     def test_single_beam_single_path_constant_modulus(self):
         arr = make_ula(8, 0.5)
         alpha, tau = 0.9 + 0.5j, 40e-9
-        ch = ChannelRealization((_component(alpha, 0.33, tau),))
-        w = single_direction_weights(arr, ch.components[0].direction)
+        ch = _channel(alpha, 0.33, tau)
+        w = single_direction_weights(arr, _direction(ch, 0))
         for f in np.linspace(-5e8, 5e8, 7):
             got = combined_response(w, ch, arr, f)
             assert got == pytest.approx(alpha * np.exp(-2j * np.pi * f * tau), abs=1e-12)
@@ -370,7 +386,7 @@ class TestCombinedResponseGrid:
         arr = make_ula(8, 0.5)
         ch = _random_channel(6, seed=22)
         beams = (mrc_weights(ch, arr),
-                 single_direction_weights(arr, ch.components[strongest_component(ch)].direction))
+                 single_direction_weights(arr, _direction(ch, strongest_component(ch))))
         max_phase = 2 * np.pi * ch.delays().max() * np.abs(self._FREQS).max()
         for w in beams:
             gains = (w @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
@@ -437,7 +453,7 @@ class TestNoisePower:
     @pytest.mark.parametrize("sigma0", [0.7, 1.0, 3.3])
     def test_value_is_sigma_squared_times_weight_power(self, sigma0):
         arr = make_ula(5, 0.5)
-        ch = ChannelRealization((_component(0.3 + 1.1j, 0.2), _component(-0.8j, -0.9)))
+        ch = _channel([0.3 + 1.1j, -0.8j], [0.2, -0.9])
         w = mrc_weights(ch, arr)
         expected = float(sigma0 ** 2 * np.vdot(w, w).real)
         assert noise_power(w, sigma0) == expected
@@ -482,9 +498,9 @@ class TestOptimalityAndScale:
 
     def test_single_path_mrc_equals_pointed_beam(self):
         arr = make_ula(8, 0.5)
-        ch = ChannelRealization((_component(0.7 - 1.1j, 0.45, 60e-9),))
+        ch = _channel(0.7 - 1.1j, 0.45, 60e-9)
         w_mrc = mrc_weights(ch, arr)
-        w_point = single_direction_weights(arr, ch.components[0].direction)
+        w_point = single_direction_weights(arr, _direction(ch, 0))
         for f in np.linspace(-5e8, 5e8, 9):
             snr_a = abs(combined_response(w_mrc, ch, arr, f)) ** 2 / noise_power(w_mrc, 1.0)
             snr_b = abs(combined_response(w_point, ch, arr, f)) ** 2 / noise_power(w_point, 1.0)

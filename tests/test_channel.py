@@ -8,16 +8,24 @@ import numpy as np
 import pytest
 
 import mrcbeam.channel
-from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfView,
-                     MultipathComponent, channel_from_json, channel_to_json,
-                     make_ula, per_antenna_response, remove_component,
-                     run_blockage_experiment, run_effectiveness_sweep, run_snr_sweep,
-                     sample_channel)
+from mrcbeam import (ChannelRealization, ExperimentConfig, FieldOfView, channel_from_json,
+                     channel_to_json, make_ula, per_antenna_response, remove_component,
+                     run_blockage_experiment, run_effectiveness_sweep, sample_channel)
 from mrcbeam.channel import _dirichlet, band_power, even_grid, tone_sum
 
 
-def _component(alpha, theta=0.0, delay=0.0):
-    return MultipathComponent(alpha, Direction.from_broadside_angle(theta), delay)
+def _channel(alphas, thetas=0.0, delays=0.0):
+    """Channel of paths in the x-y plane at broadside angles ``thetas`` (radians)."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=float), alphas.shape)
+    vectors = np.stack([np.sin(thetas), np.cos(thetas), np.zeros_like(thetas)], axis=-1)
+    return ChannelRealization(alphas, vectors, np.broadcast_to(delays, alphas.shape))
+
+
+def _paths(ch, index):
+    """The channel of the paths of ``ch`` at ``index``, a list of positions."""
+    return ChannelRealization(ch.amplitudes()[index], ch.direction_matrix()[index],
+                              ch.delays()[index])
 
 
 class TestSampling:
@@ -78,18 +86,18 @@ class TestSampling:
         assert rng.bit_generator.state == direct.bit_generator.state
         assert rng.standard_normal(3).tobytes() == direct.standard_normal(3).tobytes()
 
-    def test_equals_from_arrays_build_without_revalidating(self, monkeypatch):
+    def test_equals_constructor_build_without_revalidating(self, monkeypatch):
         fov = FieldOfView.from_degrees(120)
         rng = np.random.default_rng(12)
         thetas = fov.sample_angles(rng, 6)
         alphas = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2.0)
-        expected = ChannelRealization.from_arrays(alphas, fov.direction_at(thetas),
-                                                  rng.uniform(0.0, 80e-9, 6))
+        expected = ChannelRealization(alphas, fov.direction_at(thetas),
+                                      rng.uniform(0.0, 80e-9, 6))
 
         def forbidden(*args):
             raise AssertionError("freshly drawn arrays were validated again")
 
-        monkeypatch.setattr(ChannelRealization, "_store", forbidden)
+        monkeypatch.setattr(ChannelRealization, "__init__", forbidden)
         drawn = sample_channel(6, fov, 80e-9, np.random.default_rng(12))
         for get in ("amplitudes", "direction_matrix", "delays"):
             a, b = getattr(drawn, get)(), getattr(expected, get)()
@@ -103,7 +111,7 @@ class TestSampling:
         assert cosines.min() >= np.cos(fov.half_angle) - 1e-12
 
 
-class TestFromArrays:
+class TestConstructor:
     _A = np.array([1.0 + 0.5j, -0.3j])
     _V = np.array([[0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])
     _D = np.array([0.0, 20e-9])
@@ -125,58 +133,35 @@ class TestFromArrays:
             "inf-amplitude", "nan-amplitude"])
     def test_rejects_invalid_arrays(self, amplitudes, vectors, delays):
         with pytest.raises(ValueError):
-            ChannelRealization.from_arrays(amplitudes, vectors, delays)
-
-    def test_components_path_rejects_non_finite_amplitude(self):
-        d = Direction.from_broadside_angle(0.2)
-        with pytest.raises(ValueError):
-            ChannelRealization((MultipathComponent(complex("nan"), d, 0.0),))
-        with pytest.raises(ValueError):
-            ChannelRealization(())
+            ChannelRealization(amplitudes, vectors, delays)
 
     def test_arrays_are_read_only_copies(self):
         amplitudes, vectors, delays = self._A.copy(), self._V.copy(), self._D.copy()
-        built = ChannelRealization.from_arrays(amplitudes, vectors, delays)
+        built = ChannelRealization(amplitudes, vectors, delays)
         amplitudes[0] = vectors[0, 0] = delays[0] = 7.0
         assert built.amplitudes()[0] == self._A[0] and built.delays()[0] == 0.0
         assert built.direction_matrix()[0, 0] == 0.0
         sampled = sample_channel(3, FieldOfView.from_degrees(180), 1e-9,
                                  np.random.default_rng(0))
-        for ch in (built, sampled, ChannelRealization(sampled.components),
+        rebuilt = ChannelRealization(sampled.amplitudes(), sampled.direction_matrix(),
+                                     sampled.delays())
+        for ch in (built, sampled, rebuilt,
                    remove_component(sampled, 1), copy.deepcopy(sampled),
                    pickle.loads(pickle.dumps(sampled))):
             for arr in (ch.amplitudes(), ch.direction_matrix(), ch.delays()):
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
-    def test_components_round_trip_is_bit_identical(self):
+    def test_own_arrays_round_trip_is_bit_identical(self):
         ch = sample_channel(6, FieldOfView.from_degrees(180), 100e-9,
                             np.random.default_rng(8))
-        again = ChannelRealization(ch.components)
+        again = ChannelRealization(ch.amplitudes(), ch.direction_matrix(), ch.delays())
         for get in ("amplitudes", "direction_matrix", "delays"):
             a, b = getattr(ch, get)(), getattr(again, get)()
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_component_equality_by_value(self):
-        assert _component(1.0 + 1j, 0.3, 5e-9) == _component(1.0 + 1j, 0.3, 5e-9)
-        assert _component(1.0 + 1j, 0.3, 5e-9) != _component(1.0 + 1j, 0.4, 5e-9)
-        assert _component(1.0 + 1j, 0.3, 5e-9) != _component(1.0, 0.3, 5e-9)
-        assert _component(1.0 + 1j, 0.3, 5e-9) != _component(1.0 + 1j, 0.3, 6e-9)
-
 
 def test_trial_loop_builds_no_per_path_objects(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a per-path MultipathComponent was built")
-
-    monkeypatch.setattr(mrcbeam.channel, "MultipathComponent", forbidden)
-    with pytest.raises(AssertionError):
-        sample_channel(2, FieldOfView.from_degrees(180), 1e-9,
-                       np.random.default_rng(0)).components
-    cfg = ExperimentConfig(n_elements=4, m_values=(3,), trials=3, freq_points=8, seed=2)
-    run_effectiveness_sweep(cfg)
-    run_snr_sweep(cfg)
-    run_blockage_experiment(cfg)
-
     # the effectiveness experiment draws a block's channels as raw arrays: no channel
     # object, so no per-trial sample_channel call either
     def no_channel(*args, **kwargs):
@@ -226,8 +211,8 @@ class TestToneSum:
     def test_large_phase_within_bound(self):
         # delays up to 10 us over a 5 GHz band: phases up to 1.6e5 rad
         drawn, gains = self._channel(8), self._gains((8,))
-        ch = ChannelRealization.from_arrays(drawn.amplitudes(), drawn.direction_matrix(),
-                                            np.linspace(0.0, 10e-6, 8))
+        ch = ChannelRealization(drawn.amplitudes(), drawn.direction_matrix(),
+                                np.linspace(0.0, 10e-6, 8))
         f = np.linspace(-2.5e9, 2.5e9, 1024)
         assert (np.abs(tone_sum(gains, ch, even_grid(-2.5e9, 2.5e9, 1024))
                        - self._direct(gains, ch, f))
@@ -370,16 +355,15 @@ class TestEvenGrid:
 
 class TestResponse:
     def test_single_path_center_frequency(self):
-        ch = ChannelRealization((_component(0.7 - 0.2j, 0.4, 55e-9),))
+        ch = _channel(0.7 - 0.2j, 0.4, 55e-9)
         resp = per_antenna_response(ch, make_ula(1, 0.5), 0.0)
         np.testing.assert_allclose(resp, [0.7 - 0.2j], atol=1e-15)
 
     def test_center_frequency_ignores_delays(self):
         arr = make_ula(4, 0.5)
-        comps_a = tuple(_component(1j ** m, 0.1 * m, 10e-9 * m) for m in range(3))
-        comps_b = tuple(_component(1j ** m, 0.1 * m, 90e-9 - 7e-9 * m) for m in range(3))
-        ra = per_antenna_response(ChannelRealization(comps_a), arr, 0.0)
-        rb = per_antenna_response(ChannelRealization(comps_b), arr, 0.0)
+        m = np.arange(3)
+        ra = per_antenna_response(_channel(1j ** m, 0.1 * m, 10e-9 * m), arr, 0.0)
+        rb = per_antenna_response(_channel(1j ** m, 0.1 * m, 90e-9 - 7e-9 * m), arr, 0.0)
         np.testing.assert_allclose(ra, rb, atol=1e-15)
 
     def test_two_path_two_element_hand_expansion(self):
@@ -389,7 +373,7 @@ class TestResponse:
         a1, th1, t1 = 0.8 + 0.3j, 0.5, 20e-9
         a2, th2, t2 = -0.1 + 1.1j, -0.9, 73e-9
         f = 10e6
-        ch = ChannelRealization((_component(a1, th1, t1), _component(a2, th2, t2)))
+        ch = _channel([a1, a2], [th1, th2], [t1, t2])
         got = per_antenna_response(ch, arr, f)
         rot1 = np.exp(-2j * np.pi * f * t1)
         rot2 = np.exp(-2j * np.pi * f * t2)
@@ -406,19 +390,18 @@ class TestResponse:
         ch = sample_channel(6, fov, 100e-9, np.random.default_rng(3))
         f = 237e6
         total = per_antenna_response(ch, arr, f)
-        parts = sum(per_antenna_response(ChannelRealization((c,)), arr, f)
-                    for c in ch.components)
+        parts = sum(per_antenna_response(_paths(ch, [m]), arr, f) for m in range(ch.m_paths))
         np.testing.assert_allclose(total, parts, atol=1e-12)
 
     @pytest.mark.parametrize("f", [np.zeros((2, 3)), np.inf, [0.0, np.nan]])
     def test_bad_frequency_rejected(self, f):
-        ch = ChannelRealization((_component(1.0, 0.2, 10e-9),))
+        ch = _channel(1.0, 0.2, 10e-9)
         with pytest.raises(ValueError):
             per_antenna_response(ch, make_ula(2, 0.5), f)
 
     def test_vector_frequency_shape(self):
         arr = make_ula(3, 0.5)
-        ch = ChannelRealization((_component(1.0, 0.2, 10e-9),))
+        ch = _channel(1.0, 0.2, 10e-9)
         freqs = np.linspace(-5e8, 5e8, 17)
         resp = per_antenna_response(ch, arr, freqs)
         assert resp.shape == (3, 17)
@@ -428,10 +411,11 @@ class TestResponse:
 
 class TestRemoveComponent:
     def test_two_paths_keeps_other(self):
-        c0, c1 = _component(1.0, 0.1), _component(2.0, -0.3)
-        ch = ChannelRealization((c0, c1))
-        assert remove_component(ch, 1).components == (c0,)
-        assert remove_component(ch, 0).components == (c1,)
+        ch = _channel([1.0, 2.0], [0.1, -0.3])
+        for index, other in ((1, 0), (0, 1)):
+            kept = remove_component(ch, index)
+            for get in ("amplitudes", "direction_matrix", "delays"):
+                assert getattr(kept, get)().tobytes() == getattr(ch, get)()[[other]].tobytes()
 
     def test_response_additivity(self):
         arr = make_ula(4, 0.5)
@@ -440,8 +424,7 @@ class TestRemoveComponent:
         for f in (0.0, 123e6, -3.3e8):
             for idx in range(ch.m_paths):
                 removed = per_antenna_response(remove_component(ch, idx), arr, f)
-                alone = per_antenna_response(
-                    ChannelRealization((ch.components[idx],)), arr, f)
+                alone = per_antenna_response(_paths(ch, [idx]), arr, f)
                 full = per_antenna_response(ch, arr, f)
                 np.testing.assert_allclose(removed, full - alone, atol=1e-12)
 
@@ -449,16 +432,20 @@ class TestRemoveComponent:
         arr = make_ula(4, 0.5)
         fov = FieldOfView.from_degrees(180)
         ch = sample_channel(4, fov, 100e-9, np.random.default_rng(5))
-        again = ChannelRealization(remove_component(ch, 2).components + (ch.components[2],))
+        removed = remove_component(ch, 2)
+        again = ChannelRealization(np.append(removed.amplitudes(), ch.amplitudes()[2]),
+                                   np.vstack([removed.direction_matrix(),
+                                              ch.direction_matrix()[2]]),
+                                   np.append(removed.delays(), ch.delays()[2]))
         f = 77e6
         np.testing.assert_allclose(per_antenna_response(again, arr, f),
                                    per_antenna_response(ch, arr, f), atol=1e-12)
 
     def test_errors(self):
-        ch1 = ChannelRealization((_component(1.0),))
+        ch1 = _channel(1.0)
         with pytest.raises(ValueError):
             remove_component(ch1, 0)
-        ch2 = ChannelRealization((_component(1.0), _component(2.0)))
+        ch2 = _channel([1.0, 2.0])
         with pytest.raises(ValueError):
             remove_component(ch2, 2)
         with pytest.raises(ValueError):
@@ -468,18 +455,15 @@ class TestRemoveComponent:
                 remove_component(ch2, index)
         assert remove_component(ch2, np.int64(1)).m_paths == 1
 
-    def test_equals_from_arrays_build_without_revalidating(self, monkeypatch):
+    def test_equals_constructor_build_without_revalidating(self, monkeypatch):
         ch = sample_channel(5, FieldOfView.from_degrees(180), 100e-9,
                             np.random.default_rng(6))
-        kept = np.arange(5) != 3
-        expected = ChannelRealization.from_arrays(ch.amplitudes()[kept],
-                                                  ch.direction_matrix()[kept],
-                                                  ch.delays()[kept])
+        expected = _paths(ch, [0, 1, 2, 4])
 
         def forbidden(*args):
             raise AssertionError("a subset of a valid channel was validated again")
 
-        monkeypatch.setattr(ChannelRealization, "_store", forbidden)
+        monkeypatch.setattr(ChannelRealization, "__init__", forbidden)
         blocked = remove_component(ch, 3)
         for get in ("amplitudes", "direction_matrix", "delays"):
             a, b = getattr(blocked, get)(), getattr(expected, get)()
@@ -499,7 +483,7 @@ class TestJsonSchema:
                                    atol=1e-12)
 
     def test_record_fields(self):
-        ch = ChannelRealization((_component(0.5 + 0.25j, 0.3, 42e-9),))
+        ch = _channel(0.5 + 0.25j, 0.3, 42e-9)
         rec = channel_to_json(ch)
         entry = rec["components"][0]
         assert set(entry) == {"re", "im", "kx", "ky", "kz", "delay_ns"}

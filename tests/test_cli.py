@@ -143,8 +143,8 @@ class TestCommands:
         record = json.loads(out.read_text())
         ch = channel_from_json(record)
         assert ch.m_paths == 5
-        assert all(np.linalg.norm(c.direction.vector) == pytest.approx(1.0, abs=1e-9)
-                   for c in ch.components)
+        np.testing.assert_allclose(np.linalg.norm(ch.direction_matrix(), axis=1), 1.0,
+                                   rtol=0, atol=1e-9)
 
     # 7, 100, 200 and 359 put -90 + i * step past +90 but within the grid's half-step margin
     @pytest.mark.parametrize("grid_deg, n_rows",
@@ -209,13 +209,15 @@ class TestCommands:
 _GOOD_COMPONENT = {"re": 1.0, "im": 0.0, "kx": 0.0, "ky": 1.0, "kz": 0.0, "delay_ns": 5.0}
 
 
-def _fails_with_one_error_line(argv, capsys):
+def _fails_with_one_error_line(argv, capsys) -> str:
+    """Run ``argv``, check it fails with one error line and no warning; return the line."""
     # outside pytest a warning prints lines of its own, so here it must fail
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mrcbeam: error: ")
+    return err[0]
 
 
 class TestBadInput:
@@ -242,6 +244,38 @@ class TestBadInput:
         path = tmp_path / "ch.json"
         path.write_text(json.dumps(record))
         _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
+
+    @pytest.mark.parametrize("component, message", [
+        (dict(_GOOD_COMPONENT, kx=0.0, ky=0.0), "cannot normalize a zero or non-finite vector"),
+        (dict(_GOOD_COMPONENT, delay_ns=-1.0), "'delay_ns' must be >= 0, got -1.0"),
+    ], ids=["zero-direction", "negative-delay"])
+    def test_bad_channel_component_is_named(self, component, message, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"components": [_GOOD_COMPONENT, component]}))
+        line = _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
+        assert line == f"mrcbeam: error: channel component 1: {message}"
+
+    # the gains would be inf, or nan after overflow warnings, without the amplitude bound
+    @pytest.mark.parametrize("components", [
+        [dict(_GOOD_COMPONENT, re=1e200)],
+        [dict(_GOOD_COMPONENT, re=1e308, im=1e308)] * 2,
+    ], ids=["inf-gains", "nan-gains"])
+    def test_beam_pattern_refuses_non_finite_gains(self, components, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"components": components}))
+        line = _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
+        assert "too large for a finite beam pattern" in line
+
+    def test_beam_pattern_large_amplitudes_inside_the_bound(self, tmp_path, capsys):
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"components": [dict(_GOOD_COMPONENT, re=3e153, im=3e153),
+                                                   dict(_GOOD_COMPONENT, kx=0.6, ky=0.8)]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["beam-pattern", "--channel-file", str(path), "--grid-deg", "1"]) == 0
+        gains = [float(row.split(",")[1])
+                 for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(gains) == 181 and np.isfinite(gains).all() and max(gains) > 3000
 
     @pytest.mark.parametrize("argv", [
         ["ineffectiveness", "--elements", "4", "--m-max", "2", "--trials", "1",
@@ -317,6 +351,12 @@ def test_numeric_flag_boundary(command, flag, value, tmp_path, capsys):
     else:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("mrcbeam: error: ")
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from mrcbeam import *", namespace)      # raises on a name __all__ lacks
+    assert all(hasattr(mrcbeam, name) and name in namespace for name in mrcbeam.__all__)
 
 
 def test_cli_import_starts_no_multiprocessing():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,33 @@ class TestDirection:
     def test_from_vector_rejects_zero(self):
         with pytest.raises(ValueError):
             Direction.from_vector([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("vec, unit", [
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),              # its norm underflows to 0
+        ([5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]),              # subnormal
+        ([1e308, 1e308, 0.0], [2 ** -0.5, 2 ** -0.5, 0.0]),  # its squared norm overflows
+        ([-1e308, 3e307, -1e-300], [-0.957826285221151, 0.287347885566345, 0.0]),
+    ])
+    def test_from_vector_normalizes_any_finite_nonzero_vector(self, vec, unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = Direction.from_vector(vec)
+        np.testing.assert_allclose(d.vector, unit, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("vec", [[0.0, -0.0, 0.0], [np.nan, 1.0, 0.0],
+                                     [np.inf, 0.0, 0.0], [1e308, -np.inf, 0.0]])
+    def test_from_vector_rejects_zero_or_non_finite_without_a_warning(self, vec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero or non-finite"):
+                Direction.from_vector(vec)
+
+    def test_from_vector_keeps_the_plain_quotient(self):
+        # the power-of-two scale is exact, so ordinary vectors give vec / |vec| bit for bit
+        rng = np.random.default_rng(3)
+        for vec in rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
+            assert (Direction.from_vector(vec).vector.tobytes()
+                    == (vec / np.linalg.norm(vec)).tobytes())
 
     def test_broadside_angle_parametrization(self):
         d = Direction.from_broadside_angle(np.pi / 6)

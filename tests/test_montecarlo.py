@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import mrcbeam
-from mrcbeam import (ChannelRealization, Direction,
-                     ExperimentConfig, FieldOfView, MultipathComponent,
+from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfView,
                      band_average_gain, classify_effectiveness, combined_response, make_ula,
                      mrc_weights, noise_power, remove_component,
                      run_blockage_experiment, run_effectiveness_sweep,
@@ -40,8 +39,17 @@ REFERENCE_PINEFF_MARKS = {
 FOV180 = FieldOfView.from_degrees(180)
 
 
-def _component(alpha, theta=0.0, delay=0.0):
-    return MultipathComponent(alpha, Direction.from_broadside_angle(theta), delay)
+def _channel(alphas, thetas=0.0, delays=0.0):
+    """Channel of paths in the x-y plane at broadside angles ``thetas`` (radians)."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=float), alphas.shape)
+    vectors = np.stack([np.sin(thetas), np.cos(thetas), np.zeros_like(thetas)], axis=-1)
+    return ChannelRealization(alphas, vectors, np.broadcast_to(delays, alphas.shape))
+
+
+def _direction(ch, m):
+    """Arrival direction of path m."""
+    return Direction(ch.direction_matrix()[m])
 
 
 class TestConfig:
@@ -259,7 +267,7 @@ class TestBandBlock:
 class TestBandAverageGain:
     def test_single_path_ignores_bandwidth(self):
         arr = make_ula(4, 0.5)
-        ch = ChannelRealization((_component(1.3 - 0.2j, 0.4, 66e-9),))
+        ch = _channel(1.3 - 0.2j, 0.4, 66e-9)
         w = mrc_weights(ch, arr)
         from mrcbeam import combined_response
         center = abs(combined_response(w, ch, arr, 0.0)) ** 2
@@ -296,7 +304,7 @@ class TestBandAverageGain:
         a1, a2 = 0.9 + 0.4j, -0.3 + 1.2j
         t1, t2 = 12e-9, 81e-9
         arr = make_ula(1, 0.5)
-        ch = ChannelRealization((_component(a1, 0.0, t1), _component(a2, 0.0, t2)))
+        ch = _channel([a1, a2], 0.0, [t1, t2])
         w = np.array([1.0 + 0j])
         bw, points = 1e9, 257
         oracle = 0.0
@@ -429,25 +437,22 @@ class TestBlockage:
         # two paths, beam pointed at the stronger one, stronger one removed:
         # what is left arrives only through a sidelobe of the pointed beam
         arr = make_ula(8, 0.5)
-        ch = ChannelRealization((_component(2.0, 0.25, 10e-9),
-                                 _component(0.8, -0.85, 60e-9)))
+        ch = _channel([2.0, 0.8], [0.25, -0.85], [10e-9, 60e-9])
         k = strongest_component(ch)
         assert k == 0
-        w = single_direction_weights(arr, ch.components[k].direction)
+        w = single_direction_weights(arr, _direction(ch, k))
         pre = band_average_gain(w, ch, arr, 1e9, 512) / noise_power(w, 1.0)
         post = band_average_gain(w, remove_component(ch, k), arr, 1e9, 512) / noise_power(w, 1.0)
-        sidelobe = abs(np.conj(ch.components[1].alpha)
+        sidelobe = abs(np.conj(ch.amplitudes()[1])
                        * _pair_gain(arr, ch, 1, 0)) ** 2
         assert post == pytest.approx(sidelobe * arr.n_elements, rel=1e-9)
         assert post < pre
 
     def test_blocking_zero_amplitude_component_changes_nothing(self):
         arr = make_ula(8, 0.5)
-        ch = ChannelRealization((_component(1.1, 0.3, 20e-9),
-                                 _component(0.0, -0.5, 50e-9),
-                                 _component(0.7 - 0.2j, 0.9, 80e-9)))
+        ch = _channel([1.1, 0.0, 0.7 - 0.2j], [0.3, -0.5, 0.9], [20e-9, 50e-9, 80e-9])
         for w in (mrc_weights(ch, arr),
-                  single_direction_weights(arr, ch.components[0].direction)):
+                  single_direction_weights(arr, _direction(ch, 0))):
             pre = band_average_gain(w, ch, arr, 1e9, 256) / noise_power(w, 1.0)
             post = band_average_gain(w, remove_component(ch, 1), arr, 1e9, 256) / noise_power(w, 1.0)
             assert post == pytest.approx(pre, rel=1e-12)
@@ -455,8 +460,7 @@ class TestBlockage:
 
 def _pair_gain(arr, ch, m, h):
     from mrcbeam import component_array_factor
-    return component_array_factor(arr, ch.components[m].direction,
-                                  ch.components[h].direction)
+    return component_array_factor(arr, _direction(ch, m), _direction(ch, h))
 
 
 class TestDeterminism:

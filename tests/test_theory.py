@@ -282,10 +282,6 @@ class TestSnrTheory:
         assert got == pytest.approx(8 * EULER_GAMMA, rel=1e-12)
         assert to_db(got) == pytest.approx(6.644, abs=1e-3)
 
-    def test_single_beam_exact_mode_at_one_path(self):
-        assert snr_single_theory(8, 1, 0.17, 1.0, harmonic_mode="exact") == \
-            pytest.approx(8.0, rel=1e-12)
-
     def test_single_beam_reference_point(self):
         s16 = 10 ** (15.2464576775925 / 10) / 16 - 2  # from the 16-element line
         got = to_db(snr_single_theory(16, 10, s16, 1.0))
@@ -295,10 +291,6 @@ class TestSnrTheory:
         s = 10 ** (REFERENCE_SNR_MRC_8[1] / 10) / 8 - 2
         for m, expected in zip(range(1, 21), REFERENCE_SNR_SINGLE_8):
             assert to_db(snr_single_theory(8, m, s, 1.0)) == pytest.approx(expected, abs=1e-9)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            snr_single_theory(8, 4, 0.17, 1.0, harmonic_mode="other")
 
 
 class TestSnrRatio:
