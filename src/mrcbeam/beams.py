@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, tone_sum
-from .geometry import AntennaArray, Direction, phase_matrix, steering_vector
+from .geometry import AntennaArray, as_directions, phase_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,18 +25,19 @@ class Decomposition:
 
     weights: np.ndarray
     pattern_gains: np.ndarray
-    probe: Direction
+    probe: np.ndarray
 
     def total(self) -> complex:
         return complex(self.weights @ self.pattern_gains)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectivenessReport:
     """Per-path amplitude vs. aggregate cross-beam interference at its direction.
 
     A path is effective when its amplitude is at least as large as the
-    interference magnitude (ties count as effective).
+    interference magnitude (ties count as effective). Equality is identity, as
+    for `Decomposition`.
     """
 
     amplitudes: np.ndarray
@@ -62,9 +63,9 @@ def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
     return np.conj(h0) / array.n_elements
 
 
-def single_direction_weights(array: AntennaArray, k: Direction) -> np.ndarray:
-    """Conjugate-steering weights toward one direction: e^{-j phase} / N."""
-    return np.conj(steering_vector(array, k)) / array.n_elements
+def single_direction_weights(array: AntennaArray, k: np.ndarray) -> np.ndarray:
+    """Conjugate-steering weights toward one (3,) direction: e^{-j phase} / N."""
+    return np.conj(steering_matrix(array, as_directions(k)[None])[:, 0]) / array.n_elements
 
 
 def strongest_component(channel: ChannelRealization) -> int:
@@ -83,9 +84,10 @@ def _weight_vector(weights: np.ndarray, array: AntennaArray | None = None) -> np
     return w
 
 
-def array_factor(weights: np.ndarray, array: AntennaArray, r: Direction) -> complex:
-    """Complex gain of the weighted array toward probe direction ``r``."""
-    return complex(_weight_vector(weights, array) @ steering_vector(array, r))
+def array_factor(weights: np.ndarray, array: AntennaArray, r: np.ndarray) -> complex:
+    """Complex gain of the weighted array toward the (3,) probe direction ``r``."""
+    return complex(_weight_vector(weights, array)
+                   @ steering_matrix(array, as_directions(r)[None])[:, 0])
 
 
 def pair_gain_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
@@ -97,17 +99,19 @@ def pair_gain_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarra
     return s.conj().T @ s / array.n_elements
 
 
-def component_array_factor(array: AntennaArray, k_m: Direction, r: Direction) -> complex:
+def component_array_factor(array: AntennaArray, k_m: np.ndarray, r: np.ndarray) -> complex:
     """Normalized sub-beam gain: (1/N) sum_n e^{-j phase_{n,k_m}} e^{j phase_{n,r}}.
 
     Has unit modulus maximum, attained exactly at r = k_m.
     """
-    return complex(pair_gain_matrix(array, np.array([k_m.vector, r.vector]))[0, 1])
+    return complex(pair_gain_matrix(array, np.stack([as_directions(k_m),
+                                                     as_directions(r)]))[0, 1])
 
 
-def decompose(channel: ChannelRealization, array: AntennaArray, r: Direction) -> Decomposition:
-    """Split the combining beam's array factor at ``r`` into per-path terms."""
-    g = pair_gain_matrix(array, np.vstack([channel.direction_matrix(), r.vector]))
+def decompose(channel: ChannelRealization, array: AntennaArray, r: np.ndarray) -> Decomposition:
+    """Split the combining beam's array factor at the (3,) direction ``r`` into per-path terms."""
+    r = as_directions(r)
+    g = pair_gain_matrix(array, np.vstack([channel.direction_matrix(), r]))
     return Decomposition(np.conj(channel.amplitudes()), g[:-1, -1], r)
 
 
@@ -178,8 +182,7 @@ def combined_response(weights: np.ndarray, channel: ChannelRealization,
     value per frequency.
     """
     w = _weight_vector(weights, array)
-    phases = phase_matrix(array, channel.direction_matrix())
-    tone = (w @ np.exp(1j * phases)) * channel.amplitudes()  # (M,)
+    tone = (w @ steering_matrix(array, channel.direction_matrix())) * channel.amplitudes()
     out = tone_sum(tone, channel, f)
     return out if out.ndim else complex(out)
 

@@ -13,7 +13,7 @@ import operator
 
 import numpy as np
 
-from .geometry import _UNIT_TOL, AntennaArray, Direction, FieldOfView, phase_matrix
+from .geometry import AntennaArray, FieldOfView, as_directions, normalize, phase_matrix
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
@@ -43,9 +43,7 @@ class ChannelRealization:
             raise ValueError("a channel needs at least one component")
         if not np.isfinite(amplitudes).all():
             raise ValueError("amplitudes must be finite")
-        norms = np.linalg.norm(vectors, axis=1)
-        if not (np.abs(norms - 1.0) <= _UNIT_TOL).all():   # also rejects NaN and inf
-            raise ValueError(f"directions must be finite unit vectors, got norms {norms}")
+        as_directions(vectors, ndim=2)
         if not delays.min() >= 0.0:                         # also rejects NaN
             raise ValueError(f"delays must be >= 0, got {delays}")
         self._keep(amplitudes, vectors, delays)
@@ -307,7 +305,7 @@ def channel_from_json(record) -> ChannelRealization:
             raise ValueError(f"channel component {i} must be an object")
         re, im, kx, ky, kz, delay_ns = (_finite_field(entry, key, i) for key in _JSON_FIELDS)
         try:
-            vectors[i] = Direction.from_vector([kx, ky, kz]).vector
+            vectors[i] = normalize([kx, ky, kz])
         except ValueError as exc:
             raise ValueError(f"channel component {i}: {exc}") from None
         if delay_ns < 0:

@@ -164,8 +164,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _m_sweep(args) -> range:
-    """Path counts --m-min to --m-max; a --m-max past the limit is refused before
+    """Path counts --m-min to --m-max; either end past its limit is refused before
     the sweep is built."""
+    if args.m_min < 1:
+        raise ValueError(f"--m-min must be >= 1, got {args.m_min}")
     if args.m_max > MAX_PATHS:
         raise ValueError(f"--m-max must be <= {MAX_PATHS}, got {args.m_max}")
     return range(args.m_min, args.m_max + 1)

@@ -1,21 +1,23 @@
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
-from mrcbeam import (AntennaArray, ChannelRealization, Direction, FieldOfView,
-                     array_factor, band_average_gain, broadside,
+from mrcbeam import (AntennaArray, ChannelRealization, FieldOfView,
+                     array_factor, band_average_gain,
                      classify_effectiveness, combined_response,
                      component_array_factor, decompose, interference_term,
-                     make_ula, mrc_weights, noise_power, pair_gain_matrix,
+                     make_ula, mrc_weights, noise_power, normalize, pair_gain_matrix,
                      pattern_gain_db, per_antenna_response, phase_matrix, remove_component,
-                     sample_channel, single_direction_weights, steering_vector,
+                     sample_channel, single_direction_weights, steering_matrix,
                      strongest_component)
-from mrcbeam.beams import cross_beam_interference, design_beams, steering_matrix
+from mrcbeam.beams import cross_beam_interference, design_beams
 from mrcbeam.channel import even_grid
 
 FOV180 = FieldOfView.from_degrees(180)
+BROADSIDE = np.array([0.0, 1.0, 0.0])
 
 
 def _channel(alphas, thetas=0.0, delays=0.0):
@@ -28,7 +30,7 @@ def _channel(alphas, thetas=0.0, delays=0.0):
 
 def _direction(ch, m):
     """Arrival direction of path m."""
-    return Direction(ch.direction_matrix()[m])
+    return ch.direction_matrix()[m]
 
 
 def _random_channel(m, seed):
@@ -50,7 +52,7 @@ PLANAR_3X3 = AntennaArray(
 
 
 def example_channel(alpha4):
-    vectors = [Direction.from_vector(k).vector for k in EXAMPLE_DIRECTIONS]
+    vectors = [normalize(k) for k in EXAMPLE_DIRECTIONS]
     return ChannelRealization([0.5, 1.0, 1.5, alpha4], vectors, np.zeros(4))
 
 
@@ -73,25 +75,26 @@ class TestMrcWeights:
         ch = _random_channel(7, seed=10)
         expected = np.zeros(5, dtype=complex)
         for m, a in enumerate(ch.amplitudes()):
-            expected += np.conj(a) * np.conj(steering_vector(arr, _direction(ch, m)))
+            column = steering_matrix(arr, _direction(ch, m)[None])[:, 0]
+            expected += np.conj(a) * np.conj(column)
         expected /= arr.n_elements
         np.testing.assert_allclose(mrc_weights(ch, arr), expected, atol=1e-12)
 
 
 class TestSingleDirectionWeights:
     def test_single_element(self):
-        w = single_direction_weights(make_ula(1, 0.5), broadside())
+        w = single_direction_weights(make_ula(1, 0.5), BROADSIDE)
         np.testing.assert_allclose(w, [1.0 + 0j], atol=1e-15)
 
     def test_squared_norm_is_inverse_n(self):
         for n in (1, 2, 8, 32):
             w = single_direction_weights(make_ula(n, 0.5),
-                                         Direction.from_broadside_angle(0.3))
+                                         FOV180.direction_at(0.3))
             assert np.sum(np.abs(w) ** 2) == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_unity_gain_at_own_direction(self):
         arr = make_ula(8, 0.5)
-        k = Direction.from_broadside_angle(-0.6)
+        k = FOV180.direction_at(-0.6)
         w = single_direction_weights(arr, k)
         assert array_factor(w, arr, k) == pytest.approx(1.0, abs=1e-12)
 
@@ -128,36 +131,36 @@ class TestArrayFactor:
             assert total == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
-        w = single_direction_weights(make_ula(4, 0.5), broadside())
+        w = single_direction_weights(make_ula(4, 0.5), BROADSIDE)
         with pytest.raises(ValueError):
-            array_factor(w, make_ula(5, 0.5), broadside())
+            array_factor(w, make_ula(5, 0.5), BROADSIDE)
 
 
 class TestComponentArrayFactor:
     def test_unity_at_own_direction(self):
         arr = make_ula(8, 0.5)
-        k = Direction.from_broadside_angle(0.9)
+        k = FOV180.direction_at(0.9)
         assert component_array_factor(arr, k, k) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_element_isotropic(self):
         arr = make_ula(1, 0.5)
         rng = np.random.default_rng(12)
         for _ in range(10):
-            r = Direction.from_vector(rng.normal(size=3))
-            assert component_array_factor(arr, broadside(), r) == pytest.approx(1.0, abs=1e-12)
+            r = normalize(rng.normal(size=3))
+            assert component_array_factor(arr, BROADSIDE, r) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_element_null_at_endfire(self):
         # (1 + e^{j pi}) / 2 = 0
         arr = make_ula(2, 0.5)
-        got = component_array_factor(arr, broadside(), Direction(np.array([1.0, 0, 0])))
+        got = component_array_factor(arr, BROADSIDE, np.array([1.0, 0, 0]))
         assert abs(got) == pytest.approx(0.0, abs=1e-12)
 
     def test_modulus_bounded_by_one(self):
         rng = np.random.default_rng(13)
         arr = AntennaArray(rng.normal(size=(6, 3)))
         for _ in range(50):
-            km = Direction.from_vector(rng.normal(size=3))
-            r = Direction.from_vector(rng.normal(size=3))
+            km = normalize(rng.normal(size=3))
+            r = normalize(rng.normal(size=3))
             assert abs(component_array_factor(arr, km, r)) <= 1 + 1e-12
 
 
@@ -165,16 +168,16 @@ class TestDecomposition:
     def test_single_path_single_term(self):
         arr = make_ula(4, 0.5)
         ch = _channel(0.3 + 0.6j, 0.2)
-        dec = decompose(ch, arr, broadside())
+        dec = decompose(ch, arr, BROADSIDE)
         assert dec.weights.shape == dec.pattern_gains.shape == (1,)
         assert dec.weights[0] == pytest.approx(0.3 - 0.6j)
 
     def test_arrays_are_conjugate_amplitudes_and_sub_beam_gains(self):
         arr = make_ula(8, 0.5)
         ch = _random_channel(6, seed=13)
-        r = Direction.from_broadside_angle(0.3)
+        r = FOV180.direction_at(0.3)
         dec = decompose(ch, arr, r)
-        assert dec.probe == r and dec.weights.shape == dec.pattern_gains.shape == (6,)
+        assert np.array_equal(dec.probe, r) and dec.weights.shape == dec.pattern_gains.shape == (6,)
         np.testing.assert_array_equal(dec.weights, np.conj(ch.amplitudes()))
         for m, gain in enumerate(dec.pattern_gains):
             assert gain == pytest.approx(component_array_factor(arr, _direction(ch, m), r),
@@ -186,7 +189,7 @@ class TestDecomposition:
         w = mrc_weights(ch, arr)
         rng = np.random.default_rng(15)
         for _ in range(100):
-            r = Direction.from_broadside_angle(rng.uniform(-np.pi / 2, np.pi / 2))
+            r = FOV180.direction_at(rng.uniform(-np.pi / 2, np.pi / 2))
             dec = decompose(ch, arr, r)
             assert dec.total() == pytest.approx(array_factor(w, arr, r), abs=1e-12)
 
@@ -258,6 +261,13 @@ class TestClassifyEffectiveness:
             assert report.amplitudes[h] == pytest.approx(abs(a), abs=1e-15)
             assert report.effective[h] == (report.amplitudes[h] >= report.interference[h])
 
+    def test_reports_compare_by_identity(self):
+        ch = _random_channel(5, seed=19)
+        first, second = (classify_effectiveness(ch, make_ula(8, 0.5)) for _ in range(2))
+        assert first != second and not first == second
+        assert first == first
+        assert hash(first) != hash(second) and {first: 1}[first] == 1
+
 
 class TestCrossBeamInterference:
     """The batched interference over stacked channels behind the per-path API."""
@@ -311,7 +321,7 @@ class TestDesignBeams:
         coeffs, noise = design_beams(amplitudes, steering_matrix(arr, vectors))
         assert coeffs.shape == (len(channels), 2, n) and noise.shape == (len(channels), 2)
         for ch, (c_mrc, c_single), p in zip(channels, coeffs, noise):
-            strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
+            strongest = ch.direction_matrix()[strongest_component(ch)]
             for c, w, power in ((c_mrc, mrc_weights(ch, arr), p[0]),
                                 (c_single, single_direction_weights(arr, strongest), p[1])):
                 np.testing.assert_allclose(c, w, rtol=0, atol=1e-15)
@@ -324,7 +334,7 @@ class TestDesignBeams:
         coeffs, _ = design_beams(amplitudes, steering_matrix(arr, drawn.direction_matrix()[None]))
         tied = ChannelRealization(amplitudes[0], drawn.direction_matrix(), drawn.delays())
         assert strongest_component(tied) == 1
-        steer = single_direction_weights(arr, Direction(drawn.direction_matrix()[1]))
+        steer = single_direction_weights(arr, drawn.direction_matrix()[1])
         np.testing.assert_allclose(coeffs[0, 1], steer, rtol=0, atol=1e-15)
 
 
@@ -425,7 +435,7 @@ class TestCombinedResponseGrid:
 class TestNoisePower:
     def test_single_direction_beam(self):
         for n in (1, 4, 16):
-            w = single_direction_weights(make_ula(n, 0.5), broadside())
+            w = single_direction_weights(make_ula(n, 0.5), BROADSIDE)
             assert noise_power(w, 2.0) == pytest.approx(4.0 / n, rel=1e-12)
 
     def test_zero_weights(self):
@@ -434,19 +444,19 @@ class TestNoisePower:
         assert noise_power(w, 1e-200) == 0.0      # 0 is their power at any sigma0
 
     def test_negative_sigma_rejected(self):
-        w = single_direction_weights(make_ula(2, 0.5), broadside())
+        w = single_direction_weights(make_ula(2, 0.5), BROADSIDE)
         with pytest.raises(ValueError):
             noise_power(w, -1.0)
 
     @pytest.mark.parametrize("sigma0", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_sigma_rejected(self, sigma0):
-        w = single_direction_weights(make_ula(2, 0.5), broadside())
+        w = single_direction_weights(make_ula(2, 0.5), BROADSIDE)
         with pytest.raises(ValueError, match="sigma0"):
             noise_power(w, sigma0)
 
     @pytest.mark.parametrize("sigma0", [1e200, 1e-200, 5e-324, 0.0, np.float64(1e200)])
     def test_sigma_without_finite_nonzero_power_rejected(self, sigma0):
-        w = single_direction_weights(make_ula(2, 0.5), broadside())
+        w = single_direction_weights(make_ula(2, 0.5), BROADSIDE)
         with pytest.raises(ValueError, match="sigma0"):
             noise_power(w, sigma0)
 
@@ -510,7 +520,7 @@ class TestOptimalityAndScale:
 class TestPatternExport:
     def test_pointed_beam_peaks_at_steering_angle(self):
         arr = make_ula(16, 0.5)
-        w = single_direction_weights(arr, Direction.from_broadside_angle(np.radians(20)))
+        w = single_direction_weights(arr, FOV180.direction_at(np.radians(20)))
         thetas = np.arange(-90.0, 90.5, 0.5)
         gains = pattern_gain_db(w, arr, thetas)
         assert np.all(np.isfinite(gains))
@@ -518,7 +528,7 @@ class TestPatternExport:
 
     def test_nulls_are_clamped_finite(self):
         arr = make_ula(2, 0.5)
-        w = single_direction_weights(arr, broadside())
+        w = single_direction_weights(arr, BROADSIDE)
         gains = pattern_gain_db(w, arr, np.array([90.0]))  # exact pattern null
         assert np.isfinite(gains).all()
 
@@ -539,7 +549,7 @@ class TestPatternExport:
 # every function that takes beam weights, called on a 4-element array and a 3-path channel
 _ARR4, _CH3 = make_ula(4, 0.5), _random_channel(3, seed=26)
 WEIGHT_CALLS = {
-    "array_factor": lambda w: array_factor(w, _ARR4, broadside()),
+    "array_factor": lambda w: array_factor(w, _ARR4, BROADSIDE),
     "combined_response": lambda w: combined_response(w, _CH3, _ARR4, 1.3e8),
     "band_average_gain": lambda w: band_average_gain(w, _CH3, _ARR4, 1e9, 16),
     "noise_power": lambda w: noise_power(w, 1.0),
@@ -562,3 +572,37 @@ class TestWeightVector:
         real = [0.5, -1.0, 0.25, 2.0]
         np.testing.assert_array_equal(WEIGHT_CALLS[name](real),
                                       WEIGHT_CALLS[name](np.array(real, dtype=complex)))
+
+
+# every function that takes a direction, called with ``k`` where a direction goes
+DIRECTION_CALLS = {
+    "ChannelRealization": lambda k: ChannelRealization([1.0], [k], [0.0]).direction_matrix(),
+    "array_factor": lambda k: array_factor(np.ones(4), _ARR4, k),
+    "single_direction_weights": lambda k: single_direction_weights(_ARR4, k),
+    "component_array_factor k_m": lambda k: component_array_factor(_ARR4, k, BROADSIDE),
+    "component_array_factor r": lambda k: component_array_factor(_ARR4, BROADSIDE, k),
+    "decompose": lambda k: decompose(_CH3, _ARR4, k).pattern_gains,
+}
+_BAD_DIRECTIONS = {
+    "two-components": np.ones(2) / np.sqrt(2.0),
+    "stacked": BROADSIDE[None],
+    "nan": [np.nan, 1.0, 0.0],
+    "inf": [np.inf, 0.0, 0.0],
+    "not-unit": [1.0, 1.0, 0.0],
+    "huge": [1e308, 1e308, 0.0],          # its norm overflows: refused before it is taken
+}
+
+
+class TestDirectionCheck:
+    @pytest.mark.parametrize("name", DIRECTION_CALLS)
+    @pytest.mark.parametrize("bad", _BAD_DIRECTIONS)
+    def test_bad_directions_rejected_without_a_warning(self, name, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                DIRECTION_CALLS[name](_BAD_DIRECTIONS[bad])
+
+    @pytest.mark.parametrize("name", DIRECTION_CALLS)
+    def test_list_equals_its_array(self, name):
+        k = [0.6, 0.8, 0.0]
+        np.testing.assert_array_equal(DIRECTION_CALLS[name](k), DIRECTION_CALLS[name](np.array(k)))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -204,6 +205,17 @@ class TestCommands:
         code = main(["ineffectiveness", "--elements", "2", "--m-min", "5",
                      "--m-max", "2", "--trials", "5"])
         assert code == 1
+
+    def test_m_min_refused_before_the_sweep_is_built(self, capsys):
+        # a sweep from -2,000,000 to 20 took 92 MiB when it was built before the check
+        tracemalloc.start()
+        try:
+            line = _fails_with_one_error_line(["snr-sweep", "--m-min=-2000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "--m-min must be >= 1" in line
+        assert peak < 2 << 20
 
 
 _GOOD_COMPONENT = {"re": 1.0, "im": 0.0, "kx": 0.0, "ky": 1.0, "kz": 0.0, "delay_ns": 5.0}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mrcbeam
-from mrcbeam import (ChannelRealization, Direction, ExperimentConfig, FieldOfView,
+from mrcbeam import (ChannelRealization, ExperimentConfig, FieldOfView,
                      band_average_gain, classify_effectiveness, combined_response, make_ula,
                      mrc_weights, noise_power, remove_component,
                      run_blockage_experiment, run_effectiveness_sweep,
@@ -49,7 +49,7 @@ def _channel(alphas, thetas=0.0, delays=0.0):
 
 def _direction(ch, m):
     """Arrival direction of path m."""
-    return Direction(ch.direction_matrix()[m])
+    return ch.direction_matrix()[m]
 
 
 class TestConfig:
@@ -226,7 +226,7 @@ class TestBandBlock:
             rng = trial_rng(cfg.seed, (m, t))
             ch = sample_channel(m, fov, cfg.delay_max_s, rng)
             applied = remove_component(ch, int(rng.integers(m))) if blockage else ch
-            strongest = Direction(ch.direction_matrix()[strongest_component(ch)])
+            strongest = ch.direction_matrix()[strongest_component(ch)]
             for j, w in enumerate((mrc_weights(ch, arr), single_direction_weights(arr, strongest))):
                 if precise:
                     gains = ((w @ steering_matrix(arr, applied.direction_matrix()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from mrcbeam import (EULER_GAMMA, AntennaArray, Direction, FieldOfView,
+from mrcbeam import (EULER_GAMMA, AntennaArray, FieldOfView,
                      conditional_ineffectiveness, effective_count,
                      estimate_array_parameter, exact_array_parameter, harmonic_number,
                      ineffectiveness_probability, make_ula, snr_mrc_theory,
@@ -160,9 +160,11 @@ class TestExactArrayParameter:
         assert exact_array_parameter(make_ula(8, 0.5), FieldOfView(0.0)) == 1.0
 
     def test_planar_grid_matches_monte_carlo(self):
-        # 3 x 3 grid in the x-z plane, sector tilted so both axes matter
-        grid = AntennaArray([[0.5 * i, 0.0, 0.5 * k] for i in range(3) for k in range(3)])
-        fov = FieldOfView(np.pi / 3, plane_axis=Direction.from_vector([1.0, 0.0, 1.0]))
+        # 3 x 3 grid in a plane through y, turned 45 degrees about y so that the
+        # sector, in the x-y plane, reaches both grid axes
+        c = 0.5 / np.sqrt(2.0)
+        grid = AntennaArray([[c * (i + k), 0.0, c * (k - i)] for i in range(3) for k in range(3)])
+        fov = FieldOfView(np.pi / 3)
         est = estimate_array_parameter(grid, fov, 200_000, np.random.default_rng(8))
         assert abs(exact_array_parameter(grid, fov) - est.s) <= 4 * est.stderr
 
