@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, tone_sum
-from .geometry import AntennaArray, as_directions, phase_matrix
+from .geometry import AntennaArray, FieldOfView, as_directions, phase_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +59,8 @@ def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
     Deliberately not unit-normalized; every SNR divides by `noise_power`,
     so overall scale cancels.
     """
-    _, h0 = _center_response(array, channel.amplitudes(), channel.direction_matrix())
-    return np.conj(h0) / array.n_elements
+    return design_beams(channel.amplitudes(),
+                        steering_matrix(array, channel.direction_matrix()))[0][0]
 
 
 def single_direction_weights(array: AntennaArray, k: np.ndarray) -> np.ndarray:
@@ -120,23 +120,15 @@ def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray
     return np.exp(1j * phase_matrix(array, unit_vectors))
 
 
-def _center_response(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray):
-    """Steering matrices S (..., N, M) of stacked channels, and h0 = S a (..., N)."""
-    s = steering_matrix(array, vectors)
-    return s, (s @ amplitudes[..., :, None])[..., 0]
+def cross_beam_interference(amplitudes: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """`interference_term` of every path of stacked channels with (..., M) amplitudes and
+    (..., N, M) `steering_matrix` S of their path directions, the inputs of `design_beams`.
 
-
-def cross_beam_interference(array: AntennaArray, amplitudes: np.ndarray,
-                            vectors: np.ndarray) -> np.ndarray:
-    """`interference_term` of every path of a stack of (..., M) channels.
-
-    ``vectors`` is (..., M, 3). The combining beam's array factor toward each
-    path, minus the path's own term conj(a), is (h0^H S) / N - conj(a) with
-    steering matrix S and h0 = S a: O(N M) per channel, no (M, M) gain matrix.
+    The combining beam's array factor toward each path minus the path's own term conj(a):
+    w S - conj(a) for its `design_beams` weights w = conj(S a) / N, O(N M) per channel.
     """
-    s, h0 = _center_response(array, amplitudes, vectors)
-    factor = (h0.conj()[..., None, :] @ s)[..., 0, :] / array.n_elements
-    return factor - np.conj(amplitudes)
+    weights = design_beams(amplitudes, steering)[0][..., 0, :]
+    return (weights[..., None, :] @ steering)[..., 0, :] - np.conj(amplitudes)
 
 
 def design_beams(amplitudes: np.ndarray, steering: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,15 +152,15 @@ def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) 
     """
     if not 0 <= h < channel.m_paths:
         raise ValueError(f"component index {h} out of range for M={channel.m_paths}")
-    return complex(cross_beam_interference(array, channel.amplitudes(),
-                                           channel.direction_matrix())[h])
+    return complex(cross_beam_interference(
+        channel.amplitudes(), steering_matrix(array, channel.direction_matrix()))[h])
 
 
 def classify_effectiveness(channel: ChannelRealization, array: AntennaArray) -> EffectivenessReport:
     """Flag every path as effective or not under the combining beam."""
     amplitudes = np.abs(channel.amplitudes())
-    interference = np.abs(cross_beam_interference(array, channel.amplitudes(),
-                                                  channel.direction_matrix()))
+    interference = np.abs(cross_beam_interference(
+        channel.amplitudes(), steering_matrix(array, channel.direction_matrix())))
     return EffectivenessReport(amplitudes, interference, amplitudes >= interference)
 
 
@@ -205,11 +197,10 @@ def pattern_gain_db(weights: np.ndarray, array: AntennaArray,
                     theta_deg: np.ndarray, floor: float = 1e-30) -> np.ndarray:
     """Power gain |F|^2 in dB over broadside-plane probe angles (degrees).
 
-    Probes lie in the x-y plane at ``theta_deg`` from +y broadside. Gains
-    below ``floor`` (true pattern nulls) are clamped so output stays finite.
+    Probes lie in the x-y plane at ``theta_deg`` from +y broadside, as `FieldOfView.direction_at`
+    places them. Gains below ``floor`` (true pattern nulls) are clamped so output stays finite.
     """
-    theta = np.radians(np.asarray(theta_deg, dtype=float))
-    vecs = np.column_stack([np.sin(theta), np.cos(theta), np.zeros_like(theta)])
+    vecs = FieldOfView(np.pi / 2).direction_at(np.radians(np.atleast_1d(theta_deg)))
     factors = _weight_vector(weights, array) @ steering_matrix(array, vecs)
     power = np.maximum(np.abs(factors) ** 2, floor)
     return 10.0 * np.log10(power)

@@ -85,8 +85,11 @@ class FieldOfView:
         return cls(half_angle=np.radians(fov_deg) / 2.0)
 
     def direction_at(self, theta) -> np.ndarray:
-        """Unit vectors (*S, 3) at angles ``theta`` (radians) of shape S; (3,) for a scalar."""
+        """Unit vectors (*S, 3) at finite angles ``theta`` (radians) of shape S; (3,) for a
+        scalar. Angles beyond +/- ``half_angle`` are accepted: any in the plane can be probed."""
         theta = np.asarray(theta, dtype=float)[..., None]
+        if not np.isfinite(theta).all():
+            raise ValueError("angles must be finite")
         # the sum, not a stack of (sin, cos, 0), gives every zero the sign draws have had
         return np.cos(theta) * _UNIT_Y + np.sin(theta) * _UNIT_X
 

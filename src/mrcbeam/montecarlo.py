@@ -236,7 +236,7 @@ def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
     m, lo, hi = block
     amplitudes, vectors, _ = sample_channel(m, cfg.fov(), cfg.delay_max_s,
                                             list(_block_streams(cfg.seed, m, lo, hi)))
-    interference = cross_beam_interference(cfg.array(), amplitudes, vectors)
+    interference = cross_beam_interference(amplitudes, steering_matrix(cfg.array(), vectors))
     counts = np.count_nonzero(np.abs(amplitudes) >= np.abs(interference), axis=1)
     return np.column_stack([(m - counts) / m, counts])
 

@@ -147,35 +147,23 @@ def conditional_ineffectiveness(z: float, m_paths: int, s: float) -> float:
     Under the Gaussian approximation of the aggregate cross-beam term,
     this is exp(-z^2 / ((M-1) s)); identically 0 for a single path.
     """
-    if z < 0:
+    if not z >= 0:                                      # also refuses NaN
         raise ValueError(f"amplitude must be >= 0, got {z}")
-    if m_paths < 1:
-        raise ValueError(f"m_paths must be >= 1, got {m_paths}")
-    if m_paths == 1:
-        return 0.0
-    scale = (m_paths - 1) * s
-    if scale == 0.0:
-        return 1.0 if z == 0.0 else 0.0
-    return float(np.exp(-z * z / scale))
+    x = _interference_power(m_paths, s)
+    if x == 0.0:                                        # a single path, or s = 0
+        return 1.0 if m_paths > 1 and z == 0.0 else 0.0
+    return float(np.exp(-z * z / x))
 
 
 def ineffectiveness_probability(m_paths: int, s: float) -> float:
     """Probability a random path is ineffective: (M-1)s / (1 + (M-1)s)."""
-    if m_paths < 1:
-        raise ValueError(f"m_paths must be >= 1, got {m_paths}")
-    if s < 0:
-        raise ValueError(f"array parameter must be >= 0, got {s}")
-    x = (m_paths - 1) * s
+    x = _interference_power(m_paths, s)
     return x / (1.0 + x)
 
 
 def effective_count(m_paths: int, s: float) -> float:
     """Expected number of effective paths: M / (1 + (M-1)s), in [1, M]."""
-    if m_paths < 1:
-        raise ValueError(f"m_paths must be >= 1, got {m_paths}")
-    if s < 0:
-        raise ValueError(f"array parameter must be >= 0, got {s}")
-    return m_paths / (1.0 + (m_paths - 1) * s)
+    return m_paths / (1.0 + _interference_power(m_paths, s))
 
 
 def snr_mrc_theory(n_elements: int, m_paths: int, s: float, sigma0: float) -> float:
@@ -185,8 +173,7 @@ def snr_mrc_theory(n_elements: int, m_paths: int, s: float, sigma0: float) -> fl
     (N / sigma0^2) * (2 + (M-1) s). Known to read 3 dB high at M = 1,
     where the true narrowband gain is N.
     """
-    _check_snr_args(n_elements, m_paths, sigma0)
-    return _per_noise(n_elements, sigma0, 2.0 + (m_paths - 1) * s)
+    return _per_noise(n_elements, sigma0, 2.0 + _interference_power(m_paths, s))
 
 
 def snr_single_theory(n_elements: int, m_paths: int, s: float, sigma0: float) -> float:
@@ -195,8 +182,8 @@ def snr_single_theory(n_elements: int, m_paths: int, s: float, sigma0: float) ->
     The strongest of M unit-mean exponential path powers has mean H_M, taken
     in its asymptotic form ln(M) + gamma.
     """
-    _check_snr_args(n_elements, m_paths, sigma0)
-    return _per_noise(n_elements, sigma0, math.log(m_paths) + EULER_GAMMA + (m_paths - 1) * s)
+    x = _interference_power(m_paths, s)
+    return _per_noise(n_elements, sigma0, math.log(m_paths) + EULER_GAMMA + x)
 
 
 def snr_ratio_theory(m_paths: int, s: float) -> float:
@@ -205,9 +192,7 @@ def snr_ratio_theory(m_paths: int, s: float) -> float:
     (ln M + gamma + (M-1)s) / (2 + (M-1)s), independent of array size
     and noise level.
     """
-    if m_paths < 1:
-        raise ValueError(f"m_paths must be >= 1, got {m_paths}")
-    x = (m_paths - 1) * s
+    x = _interference_power(m_paths, s)
     return (math.log(m_paths) + EULER_GAMMA + x) / (2.0 + x)
 
 
@@ -223,21 +208,27 @@ def to_db(linear: float) -> float:
     return float(10.0 * np.log10(linear))
 
 
-def _check_snr_args(n_elements: int, m_paths: int, sigma0: float) -> None:
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+def _interference_power(m_paths: int, s: float) -> float:
+    """(M-1)s, the one quantity every closed form is algebra in; refuses M < 1, and an
+    array parameter s that is negative or makes (M-1)s not finite. s is not capped at 1:
+    a Monte Carlo estimate at N = 1 can round to just above it."""
     if m_paths < 1:
         raise ValueError(f"m_paths must be >= 1, got {m_paths}")
-    if not sigma0 > 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    x = (m_paths - 1) * float(s)                        # a float: no numpy overflow warning
+    if not (0.0 <= s and x < math.inf):                 # also refuses NaN, and inf at M = 1
+        raise ValueError(f"array parameter must be >= 0 with (M-1)s finite, got {s}")
+    return x
 
 
 def _per_noise(n_elements: int, sigma0: float, gain: float) -> float:
-    """(N / sigma0^2) * gain; refuses a sigma0 that makes it non-finite, or 0 for a nonzero gain."""
+    """(N / sigma0^2) * gain; refuses N < 1, and a sigma0 that is not positive or makes
+    it non-finite, or 0 for a nonzero gain."""
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     try:
         snr = (float(n_elements) / float(sigma0) ** 2) * float(gain)   # floats: no numpy warnings
     except (OverflowError, ZeroDivisionError):          # sigma0^2 overflows or is 0
         snr = math.nan
-    if not math.isfinite(snr) or (snr == 0 and gain != 0):
-        raise ValueError(f"sigma0 must give a finite, nonzero SNR, got {sigma0}")
+    if not (sigma0 > 0 and math.isfinite(snr)) or (snr == 0 and gain != 0):
+        raise ValueError(f"sigma0 must be positive with a finite, nonzero SNR, got {sigma0}")
     return snr

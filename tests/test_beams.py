@@ -281,7 +281,8 @@ class TestCrossBeamInterference:
         arr = make_ula(8, 0.5)
         channels = [_random_channel(7, seed) for seed in range(40, 52)]
         amplitudes, vectors = self._stack(channels)
-        flags = np.abs(amplitudes) >= np.abs(cross_beam_interference(arr, amplitudes, vectors))
+        interference = cross_beam_interference(amplitudes, steering_matrix(arr, vectors))
+        flags = np.abs(amplitudes) >= np.abs(interference)
         for ch, row in zip(channels, flags):
             assert row.tolist() == classify_effectiveness(ch, arr).effective.tolist()
         assert 0 < flags.sum() < flags.size       # both outcomes occur
@@ -297,7 +298,7 @@ class TestCrossBeamInterference:
     def test_single_path_channels_are_effective(self):
         arr = make_ula(8, 0.5)
         amplitudes, vectors = self._stack([_random_channel(1, seed) for seed in range(54, 64)])
-        interference = cross_beam_interference(arr, amplitudes, vectors)
+        interference = cross_beam_interference(amplitudes, steering_matrix(arr, vectors))
         assert (np.abs(amplitudes) >= np.abs(interference)).all()
 
     def test_phase_matrix_on_a_stack(self):
@@ -543,6 +544,15 @@ class TestPatternExport:
         weak_db = pattern_gain_db(w_weak, PLANAR_3X3, thetas)[0]
         strong_db = pattern_gain_db(w_strong, PLANAR_3X3, thetas)[0]
         assert strong_db > weak_db + 3.0
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angles_rejected_without_a_warning(self, angle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                FOV180.direction_at([0.1, angle])
+            with pytest.raises(ValueError, match="finite"):
+                pattern_gain_db(np.ones(4), make_ula(4, 0.5), [10.0, angle])
 
 
 

@@ -315,6 +315,34 @@ class TestSnrRatio:
             assert snr_ratio_theory(m, s) == pytest.approx(quotient, rel=1e-12)
 
 
+# every closed form in (M - 1)s, called at M = 6 with array parameter s
+CLOSED_FORMS = {
+    "conditional_ineffectiveness": lambda s: conditional_ineffectiveness(0.5, 6, s),
+    "ineffectiveness_probability": lambda s: ineffectiveness_probability(6, s),
+    "effective_count": lambda s: effective_count(6, s),
+    "snr_mrc_theory": lambda s: snr_mrc_theory(8, 6, s, 1.0),
+    "snr_single_theory": lambda s: snr_single_theory(8, 6, s, 1.0),
+    "snr_ratio_theory": lambda s: snr_ratio_theory(6, s),
+}
+
+
+class TestArrayParameterCheck:
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    @pytest.mark.parametrize("s", [-0.1, math.nan, math.inf, 1e308])   # 1e308: (M-1)s overflows
+    def test_negative_or_non_finite_s_rejected(self, name, s):
+        with pytest.raises(ValueError, match="array parameter"):
+            CLOSED_FORMS[name](s)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_s_above_one_accepted(self, name):
+        # a Monte Carlo estimate at N = 1 can round to just above 1
+        assert math.isfinite(CLOSED_FORMS[name](1.0 + 1e-15))
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="amplitude"):
+            conditional_ineffectiveness(math.nan, 6, 0.2)
+
+
 class TestHarmonicNumber:
     def test_small_values(self):
         assert harmonic_number(1) == 1.0
