@@ -6,8 +6,7 @@ wideband SNR predictions, and seeded Monte Carlo experiments. A beam is
 its (N,) complex weight vector, a plain numpy array.
 """
 
-from .beams import (Decomposition, EffectivenessReport, array_factor,
-                    classify_effectiveness, combined_response,
+from .beams import (array_factor, classify_effectiveness, combined_response,
                     component_array_factor, decompose, interference_term,
                     mrc_weights, noise_power, pair_gain_matrix, pattern_gain_db,
                     single_direction_weights, steering_matrix, strongest_component)
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaArray", "ArrayParameterEstimate", "ChannelRealization",
-    "Decomposition", "EULER_GAMMA", "EffectivenessReport",
-    "ExperimentConfig", "FieldOfView", "SweepResult", "array_factor",
+    "EULER_GAMMA", "ExperimentConfig", "FieldOfView", "SweepResult", "array_factor",
     "band_average_gain", "channel_from_json", "channel_to_json",
     "classify_effectiveness", "combined_response", "component_array_factor",
     "conditional_ineffectiveness", "decompose", "effective_count",

@@ -9,48 +9,12 @@ effectiveness classification below make explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelRealization, tone_sum
 from .geometry import AntennaArray, FieldOfView, as_directions, phase_matrix
 
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """Array factor at ``probe`` split per path: path m adds weights[m], its conjugated
-    amplitude, times pattern_gains[m], its sub-beam's gain toward the probe. The M terms
-    sum to the full factor. Equality is identity: arrays have no single truth value."""
-
-    weights: np.ndarray
-    pattern_gains: np.ndarray
-    probe: np.ndarray
-
-    def total(self) -> complex:
-        return complex(self.weights @ self.pattern_gains)
-
-
-@dataclass(frozen=True, eq=False)
-class EffectivenessReport:
-    """Per-path amplitude vs. aggregate cross-beam interference at its direction.
-
-    A path is effective when its amplitude is at least as large as the
-    interference magnitude (ties count as effective). Equality is identity, as
-    for `Decomposition`.
-    """
-
-    amplitudes: np.ndarray
-    interference: np.ndarray
-    effective: np.ndarray
-
-    @property
-    def n_effective(self) -> int:
-        return int(np.count_nonzero(self.effective))
-
-    @property
-    def fraction_ineffective(self) -> float:
-        return (self.effective.size - self.n_effective) / self.effective.size
+_GAIN_FLOOR = 1e-30          # power gain `pattern_gain_db` clamps pattern nulls to
 
 
 def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
@@ -108,11 +72,12 @@ def component_array_factor(array: AntennaArray, k_m: np.ndarray, r: np.ndarray) 
                                                      as_directions(r)]))[0, 1])
 
 
-def decompose(channel: ChannelRealization, array: AntennaArray, r: np.ndarray) -> Decomposition:
-    """Split the combining beam's array factor at the (3,) direction ``r`` into per-path terms."""
-    r = as_directions(r)
-    g = pair_gain_matrix(array, np.vstack([channel.direction_matrix(), r]))
-    return Decomposition(np.conj(channel.amplitudes()), g[:-1, -1], r)
+def decompose(channel: ChannelRealization, array: AntennaArray, r: np.ndarray) -> np.ndarray:
+    """(M,) sub-beam gains toward the (3,) direction ``r``: path m's beam, pointed at its
+    own direction, has gain G[m] there. The combining beam's array factor at ``r`` is the
+    sum of the M sub-beams weighted by the conjugate amplitudes, conj(a) @ G."""
+    g = pair_gain_matrix(array, np.vstack([channel.direction_matrix(), as_directions(r)]))
+    return g[:-1, -1]
 
 
 def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
@@ -156,12 +121,12 @@ def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) 
         channel.amplitudes(), steering_matrix(array, channel.direction_matrix()))[h])
 
 
-def classify_effectiveness(channel: ChannelRealization, array: AntennaArray) -> EffectivenessReport:
-    """Flag every path as effective or not under the combining beam."""
-    amplitudes = np.abs(channel.amplitudes())
-    interference = np.abs(cross_beam_interference(
-        channel.amplitudes(), steering_matrix(array, channel.direction_matrix())))
-    return EffectivenessReport(amplitudes, interference, amplitudes >= interference)
+def classify_effectiveness(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
+    """(M,) bool mask of the effective paths under the combining beam: path h is effective
+    when its amplitude is at least its `interference_term` in magnitude (ties count)."""
+    a = channel.amplitudes()
+    return np.abs(a) >= np.abs(cross_beam_interference(
+        a, steering_matrix(array, channel.direction_matrix())))
 
 
 def combined_response(weights: np.ndarray, channel: ChannelRealization,
@@ -193,14 +158,12 @@ def noise_power(weights: np.ndarray, sigma0: float) -> float:
     return power
 
 
-def pattern_gain_db(weights: np.ndarray, array: AntennaArray,
-                    theta_deg: np.ndarray, floor: float = 1e-30) -> np.ndarray:
+def pattern_gain_db(weights: np.ndarray, array: AntennaArray, theta_deg: np.ndarray) -> np.ndarray:
     """Power gain |F|^2 in dB over broadside-plane probe angles (degrees).
 
     Probes lie in the x-y plane at ``theta_deg`` from +y broadside, as `FieldOfView.direction_at`
-    places them. Gains below ``floor`` (true pattern nulls) are clamped so output stays finite.
+    places them. Gains below `_GAIN_FLOOR` (true pattern nulls) are clamped so output stays finite.
     """
     vecs = FieldOfView(np.pi / 2).direction_at(np.radians(np.atleast_1d(theta_deg)))
     factors = _weight_vector(weights, array) @ steering_matrix(array, vecs)
-    power = np.maximum(np.abs(factors) ** 2, floor)
-    return 10.0 * np.log10(power)
+    return 10.0 * np.log10(np.maximum(np.abs(factors) ** 2, _GAIN_FLOOR))

@@ -22,7 +22,7 @@ from .beams import (combined_response, cross_beam_interference, design_beams, mr
                     strongest_component)
 from .channel import ChannelRealization, band_power, even_grid, remove_component, sample_channel
 from .geometry import AntennaArray, FieldOfView, make_ula
-from .theory import (effective_count, estimate_array_parameter,
+from .theory import (_integer, effective_count, estimate_array_parameter,
                      exact_array_parameter, ineffectiveness_probability,
                      snr_mrc_theory, snr_single_theory, to_db)
 
@@ -42,7 +42,8 @@ class ExperimentConfig:
 
     At most `MAX_PATHS` paths, `MAX_FREQ_POINTS` frequency points,
     `MAX_WORKERS` workers and `MAX_TRIALS` trials over all path counts;
-    `make_ula` bounds the element count.
+    `make_ula` bounds the element count. Counts and the seed are stored as Python ints:
+    numpy integers are accepted, and a float or a bool is refused.
     """
 
     n_elements: int
@@ -58,7 +59,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        for name in ("n_elements", "trials", "freq_points", "seed", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "m_values", tuple(_integer("m_values", m) for m in self.m_values))
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
         if not self.m_values or any(not 1 <= m <= MAX_PATHS for m in self.m_values):

@@ -12,6 +12,7 @@ quadrature (`exact_array_parameter`) or estimated by Monte Carlo
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,10 +209,21 @@ def to_db(linear: float) -> float:
     return float(10.0 * np.log10(linear))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; refuses a bool, a float or any other non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)                # numpy integers too
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _interference_power(m_paths: int, s: float) -> float:
-    """(M-1)s, the one quantity every closed form is algebra in; refuses M < 1, and an
-    array parameter s that is negative or makes (M-1)s not finite. s is not capped at 1:
-    a Monte Carlo estimate at N = 1 can round to just above it."""
+    """(M-1)s, the one quantity every closed form is algebra in; refuses an M that is not
+    an integer >= 1, and an array parameter s that is negative or makes (M-1)s not finite.
+    s is not capped at 1: a Monte Carlo estimate at N = 1 can round to just above it."""
+    m_paths = _integer("m_paths", m_paths)
     if m_paths < 1:
         raise ValueError(f"m_paths must be >= 1, got {m_paths}")
     x = (m_paths - 1) * float(s)                        # a float: no numpy overflow warning
@@ -221,14 +233,18 @@ def _interference_power(m_paths: int, s: float) -> float:
 
 
 def _per_noise(n_elements: int, sigma0: float, gain: float) -> float:
-    """(N / sigma0^2) * gain; refuses N < 1, and a sigma0 that is not positive or makes
-    it non-finite, or 0 for a nonzero gain."""
+    """(N / sigma0^2) * gain; refuses N < 1, a sigma0 that is not positive or leaves
+    N / sigma0^2 not finite and positive, and a gain for which the SNR overflows."""
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     try:
-        snr = (float(n_elements) / float(sigma0) ** 2) * float(gain)   # floats: no numpy warnings
+        per_noise = float(n_elements) / float(sigma0) ** 2     # floats: no numpy warnings
     except (OverflowError, ZeroDivisionError):          # sigma0^2 overflows or is 0
-        snr = math.nan
-    if not (sigma0 > 0 and math.isfinite(snr)) or (snr == 0 and gain != 0):
-        raise ValueError(f"sigma0 must be positive with a finite, nonzero SNR, got {sigma0}")
+        per_noise = math.nan
+    if not (sigma0 > 0 and 0.0 < per_noise < math.inf):
+        raise ValueError(f"sigma0 must be positive with N / sigma0^2 finite and positive, "
+                         f"got {sigma0}")
+    snr = per_noise * float(gain)
+    if not snr < math.inf:
+        raise ValueError(f"SNR overflows: N / sigma0^2 = {per_noise:g} times gain {gain:g}")
     return snr

@@ -198,7 +198,7 @@ def test_criterion_7_identity_suite(announce):
                 # full factor equals the sum of its per-path terms
                 probe = fov.direction_at(rng.uniform(-np.pi / 2, np.pi / 2))
                 full = array_factor(weights, array, probe)
-                split = decompose(channel, array, probe).total()
+                split = conj_a @ decompose(channel, array, probe)
                 err = abs(full - split) / max(1.0, abs(full))
                 worst = max(worst, err)
                 assert err <= rtol

@@ -68,6 +68,16 @@ class TestParseArgs:
             parse_args([])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("command", ["array-param", "ineffectiveness", "effective-components",
+                                         "snr-sweep", "blockage-cdf", "beam-pattern",
+                                         "dump-channel"])
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith(f"usage: mrcbeam {command} [-h]")
+
 
 class TestParseFrequency:
     @pytest.mark.parametrize("text,expected", [

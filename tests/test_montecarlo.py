@@ -94,6 +94,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["m_values", "n_elements", "trials", "freq_points",
+                                       "seed", "workers"])
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4", None])
+    def test_non_integer_count_rejected(self, field, bad):
+        kwargs = dict(n_elements=8, m_values=(2,), freq_points=16)
+        kwargs[field] = (bad,) if field == "m_values" else bad
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = ExperimentConfig(n_elements=np.int64(8), m_values=np.arange(1, 3),
+                               trials=np.int32(5), freq_points=np.uint16(16),
+                               seed=np.uint64(2 ** 63), workers=np.int8(2))
+        assert cfg == ExperimentConfig(n_elements=8, m_values=(1, 2), trials=5, freq_points=16,
+                                       seed=2 ** 63, workers=2)
+        assert all(type(v) is int for v in (cfg.n_elements, *cfg.m_values, cfg.trials,
+                                            cfg.freq_points, cfg.seed, cfg.workers))
+
     def test_size_limits_are_inclusive(self):
         # only checked here: no trial block is listed and no worker started
         ExperimentConfig(n_elements=8, m_values=(1, 2), trials=MAX_TRIALS // 2,
@@ -185,11 +203,10 @@ class TestBlockStreams:
         res = run_effectiveness_sweep(cfg)
         arr, fov = cfg.array(), cfg.fov()
         for i, m in enumerate(cfg.m_values):
-            reports = [classify_effectiveness(
-                sample_channel(m, fov, cfg.delay_max_s, trial_rng(cfg.seed, (m, t))), arr)
-                for t in range(cfg.trials)]
-            fracs = np.array([r.fraction_ineffective for r in reports])
-            counts = np.array([r.n_effective for r in reports], dtype=float)
+            counts = np.array([np.count_nonzero(classify_effectiveness(
+                sample_channel(m, fov, cfg.delay_max_s, trial_rng(cfg.seed, (m, t))), arr))
+                for t in range(cfg.trials)], dtype=float)
+            fracs = (m - counts) / m
             assert res.columns["p_ineff_empirical"][i] == fracs.mean()
             assert res.columns["p_ineff_stderr"][i] == fracs.std(ddof=1) / np.sqrt(cfg.trials)
             assert res.columns["count_mean"][i] == counts.mean()

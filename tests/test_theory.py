@@ -268,6 +268,14 @@ class TestSnrTheory:
         with pytest.raises(ValueError, match="sigma0"):
             snr(8, 6, 0.16, sigma0)
 
+    @pytest.mark.parametrize("snr", [snr_mrc_theory, snr_single_theory])
+    def test_overflow_names_its_cause(self, snr):
+        # N / sigma0^2 = 8 is finite: only the gain (M-1)s = 9.5e307 makes the SNR overflow
+        with pytest.raises(ValueError, match=r"^SNR overflows: N / sigma0\^2 = 8 times gain "):
+            snr(8, 20, 5e306, 1.0)
+        with pytest.raises(ValueError, match=r"^sigma0 must be positive .* got 1e-160$"):
+            snr(8, 20, 0.1, 1e-160)
+
     @pytest.mark.parametrize("sigma0", [0.7, 1.0, 3.3])
     def test_values_at_ordinary_sigma(self, sigma0):
         assert snr_mrc_theory(8, 6, 0.16, sigma0) == (8 / sigma0 ** 2) * (2.0 + 5 * 0.16)
@@ -341,6 +349,29 @@ class TestArrayParameterCheck:
     def test_nan_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitude"):
             conditional_ineffectiveness(math.nan, 6, 0.2)
+
+
+# every closed form in (M - 1)s, called with path count m at s = 0.2
+CLOSED_FORMS_IN_M = {
+    "conditional_ineffectiveness": lambda m: conditional_ineffectiveness(0.5, m, 0.2),
+    "ineffectiveness_probability": lambda m: ineffectiveness_probability(m, 0.2),
+    "effective_count": lambda m: effective_count(m, 0.2),
+    "snr_mrc_theory": lambda m: snr_mrc_theory(8, m, 0.2, 1.0),
+    "snr_single_theory": lambda m: snr_single_theory(8, m, 0.2, 1.0),
+    "snr_ratio_theory": lambda m: snr_ratio_theory(m, 0.2),
+}
+
+
+class TestPathCountCheck:
+    @pytest.mark.parametrize("name", CLOSED_FORMS_IN_M)
+    @pytest.mark.parametrize("m", [2.5, 6.0, True, np.True_, "6", None])
+    def test_non_integer_path_count_rejected(self, name, m):
+        with pytest.raises(ValueError, match="m_paths must be an integer"):
+            CLOSED_FORMS_IN_M[name](m)
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS_IN_M)
+    def test_numpy_integer_equals_int(self, name):
+        assert CLOSED_FORMS_IN_M[name](np.int64(6)) == CLOSED_FORMS_IN_M[name](6)
 
 
 class TestHarmonicNumber:
