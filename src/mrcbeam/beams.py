@@ -81,8 +81,16 @@ def decompose(channel: ChannelRealization, array: AntennaArray, r: np.ndarray) -
 
 
 def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
-    """(..., N, M) plane-wave phasors e^{j phase} of (..., M, 3) unit vectors."""
-    return np.exp(1j * phase_matrix(array, unit_vectors))
+    """(..., N, M) plane-wave phasors e^{j phase} of (..., M, 3) unit vectors.
+
+    Built as cos + j sin into one complex array, with no complex temporary; on the
+    builds tried this is bit for bit ``np.exp(1j * phase)``.
+    """
+    phases = phase_matrix(array, unit_vectors)
+    out = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=out.real)
+    np.sin(phases, out=out.imag)
+    return out
 
 
 def cross_beam_interference(amplitudes: np.ndarray, steering: np.ndarray) -> np.ndarray:

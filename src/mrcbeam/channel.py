@@ -17,7 +17,9 @@ from .geometry import AntennaArray, FieldOfView, as_directions, normalize, phase
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
-_KERNEL_SLICE = 1 << 15    # kernel entries `band_power` holds at once: 256 KiB, cache-sized
+# entries of phasors or kernel that one trial slice of a block (`montecarlo._trial_slices`)
+# or one row slice of `band_power` holds at once: 256 KiB of doubles, cache-sized
+_KERNEL_SLICE = 1 << 15
 
 
 class ChannelRealization:

@@ -20,7 +20,8 @@ import numpy as np
 from .beams import (combined_response, cross_beam_interference, design_beams, mrc_weights,
                     noise_power, pair_gain_matrix, single_direction_weights, steering_matrix,
                     strongest_component)
-from .channel import ChannelRealization, band_power, even_grid, remove_component, sample_channel
+from .channel import (_KERNEL_SLICE, ChannelRealization, band_power, even_grid, remove_component,
+                      sample_channel)
 from .geometry import AntennaArray, FieldOfView, make_ula
 from .theory import (_integer, effective_count, estimate_array_parameter,
                      exact_array_parameter, ineffectiveness_probability,
@@ -233,24 +234,44 @@ def _draw_block(cfg: ExperimentConfig, block):
     return amplitudes, vectors, channels
 
 
+def _trial_slices(trials: int, n: int, m: int) -> list[slice]:
+    """Slices of a block's trials, each holding at most `_KERNEL_SLICE` entries of its
+    (T, N, M) phasors or (T, M, M) kernel, and at least one trial.
+
+    A block's streams and draws run whole; the stages after them run a slice at a
+    time, so a block's memory stays bounded at every size the limits accept.
+    """
+    step = max(1, _KERNEL_SLICE // (m * max(m, n)))
+    return [slice(lo, lo + step) for lo in range(0, trials, step)]
+
+
 def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
-    """(ineffective fraction, effective count) per trial, in one pass over a block
-    whose channels are drawn as raw arrays, one row per trial's stream."""
+    """(ineffective fraction, effective count) per trial of a block whose channels
+    are drawn as raw arrays, one row per trial's stream, classified a trial slice
+    at a time."""
     m, lo, hi = block
+    array = cfg.array()
     amplitudes, vectors, _ = sample_channel(m, cfg.fov(), cfg.delay_max_s,
                                             list(_block_streams(cfg.seed, m, lo, hi)))
-    interference = cross_beam_interference(amplitudes, steering_matrix(cfg.array(), vectors))
-    counts = np.count_nonzero(np.abs(amplitudes) >= np.abs(interference), axis=1)
+    counts = np.empty(hi - lo, dtype=np.intp)
+    for part in _trial_slices(hi - lo, array.n_elements, m):
+        interference = cross_beam_interference(amplitudes[part],
+                                               steering_matrix(array, vectors[part]))
+        counts[part] = np.count_nonzero(np.abs(amplitudes[part]) >= np.abs(interference), axis=1)
     return np.column_stack([(m - counts) / m, counts])
 
 
 def _band_block(cfg: ExperimentConfig, block) -> np.ndarray:
     """Linear band-averaged SNR at unit noise of both beams per trial of a block;
-    all beams are designed at once, then each trial's two are averaged over the
-    band grid of its channel."""
+    the beams are designed a trial slice at a time, then each trial's two are
+    averaged over the band grid of its channel."""
+    m, lo, hi = block
     array = cfg.array()
     amplitudes, vectors, channels = _draw_block(cfg, block)
-    coeffs, noise = design_beams(amplitudes, steering_matrix(array, vectors))
+    coeffs, noise = np.empty((hi - lo, 2, array.n_elements), dtype=complex), np.empty((hi - lo, 2))
+    for part in _trial_slices(hi - lo, array.n_elements, m):
+        coeffs[part], noise[part] = design_beams(amplitudes[part],
+                                                 steering_matrix(array, vectors[part]))
     out = np.empty(noise.shape)
     for i, channel in enumerate(channels):
         for j, weights in enumerate(coeffs[i]):
@@ -264,19 +285,23 @@ def _blockage_block(cfg: ExperimentConfig, block) -> np.ndarray:
     each beam designed on the drawn channel and met by it less one path.
 
     A block's channels are drawn as raw arrays, then each stream's blocked
-    index. Each beam's tone gain toward a path is (w S) a with the blocked
-    path's amplitude set to 0, and `band_power` averages the tones over the
-    band in closed form.
+    index. A trial slice at a time, each beam's tone gain toward a path is
+    (w S) a with the blocked path's amplitude set to 0, and `band_power`
+    averages the tones over the band in closed form.
     """
     m, lo, hi = block
+    array = cfg.array()
     streams = list(_block_streams(cfg.seed, m, lo, hi))
     amplitudes, vectors, delays = sample_channel(m, cfg.fov(), cfg.delay_max_s, streams)
-    blocked = [rng.integers(m) for rng in streams]
-    steering = steering_matrix(cfg.array(), vectors)
-    coeffs, noise = design_beams(amplitudes, steering)
-    amplitudes[np.arange(hi - lo), blocked] = 0.0
-    gains = (coeffs @ steering) * amplitudes[:, None, :]           # (T, 2, M)
-    return band_power(gains, delays, cfg.bandwidth_hz, cfg.freq_points) / noise
+    blocked = np.array([rng.integers(m) for rng in streams])
+    out = np.empty((hi - lo, 2))
+    for part in _trial_slices(hi - lo, array.n_elements, m):
+        steering, a = steering_matrix(array, vectors[part]), amplitudes[part]
+        coeffs, noise = design_beams(a, steering)
+        a[np.arange(a.shape[0]), blocked[part]] = 0.0
+        gains = (coeffs @ steering) * a[:, None, :]                  # (T, 2, M)
+        out[part] = band_power(gains, delays[part], cfg.bandwidth_hz, cfg.freq_points) / noise
+    return out
 
 
 def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:

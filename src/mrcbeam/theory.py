@@ -64,6 +64,7 @@ def estimate_array_parameter(array: AntennaArray, fov: FieldOfView, samples: int
     -------
     ArrayParameterEstimate with the mean, sample count and standard error.
     """
+    samples = _integer("samples", samples)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
     total = 0.0
@@ -115,11 +116,28 @@ def exact_array_parameter(array: AntennaArray, fov: FieldOfView) -> float:
         raise ValueError(f"array extent of {extent:g} wavelengths is too wide for the "
                          f"exact array parameter")
     panels = max(1, math.ceil(need))
-    s, finer = (_array_parameter_by_panels(array, fov, p) for p in (panels, 2 * panels))
+    spacing = _ula_spacing(array)
+    if spacing is None:
+        s, finer = (_array_parameter_by_panels(array, fov, p) for p in (panels, 2 * panels))
+    else:
+        s, finer = (_array_parameter_by_lags(array.n_elements, spacing, fov, p)
+                    for p in (panels, 2 * panels))
     if not abs(s - finer) <= _CONFIRM_REL * finer:
         raise ValueError(f"array parameter quadrature did not converge: {s!r} at {panels} "
                          f"panels, {finer!r} at {2 * panels}")
     return s
+
+
+def _panel_nodes(fov: FieldOfView, panels: int):
+    """Nodes theta and weights w of ``panels`` equal 32-node Gauss-Legendre panels over
+    the field of view, `_PANEL_BLOCK` panels at a time; w is the uniform angle density's."""
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    width = 2.0 * fov.half_angle / panels
+    weights = weights / (2 * panels)
+    for lo in range(0, panels, _PANEL_BLOCK):
+        starts = -fov.half_angle + width * np.arange(lo, min(lo + _PANEL_BLOCK, panels))
+        yield (np.add.outer(starts, width * (nodes + 1.0) / 2.0).ravel(),
+               np.tile(weights, starts.size))
 
 
 def _array_parameter_by_panels(array: AntennaArray, fov: FieldOfView, panels: int) -> float:
@@ -127,19 +145,46 @@ def _array_parameter_by_panels(array: AntennaArray, fov: FieldOfView, panels: in
 
     Accumulates Phi = (A * w) @ A^H block by block, A being the (N, Q)
     plane-wave phasors at the nodes and w the node weights of the uniform
-    angle density.
+    angle density: O(N^2 Q) for any array.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
-    n, half = array.n_elements, fov.half_angle
-    width = 2.0 * half / panels
-    weights = weights / (2 * panels)
+    n = array.n_elements
     phi = np.zeros((n, n), dtype=complex)
-    for lo in range(0, panels, _PANEL_BLOCK):
-        starts = -half + width * np.arange(lo, min(lo + _PANEL_BLOCK, panels))
-        theta = np.add.outer(starts, width * (nodes + 1.0) / 2.0).ravel()
+    for theta, w in _panel_nodes(fov, panels):
         a = np.exp(1j * phase_matrix(array, fov.direction_at(theta)))   # (N, Q)
-        phi += (a * np.tile(weights, starts.size)) @ a.conj().T
+        phi += (a * w) @ a.conj().T
     return float(np.sum(phi.real ** 2 + phi.imag ** 2)) / n ** 2
+
+
+def _ula_spacing(array: AntennaArray) -> float | None:
+    """The spacing d when element n sits exactly at (n d, 0, 0), as `make_ula` puts it;
+    None for any other array."""
+    pos = array.positions
+    spacing = pos[1, 0] if array.n_elements > 1 else 0.0
+    if not pos[:, 1:].any() and np.array_equal(pos[:, 0], np.arange(array.n_elements) * spacing):
+        return float(spacing)
+    return None
+
+
+def _array_parameter_by_lags(n: int, spacing: float, fov: FieldOfView, panels: int) -> float:
+    """`_array_parameter_by_panels` for a line of N elements at (n d, 0, 0), in O(N Q).
+
+    phi between two elements depends only on their lag l, and the nodes are symmetric
+    about broadside, so phi_l is the cosine moment c_l = sum_q w_q cos(2 pi l d sin theta_q)
+    and s = N^-2 [N c_0^2 + 2 sum_{l >= 1} (N - l) c_l^2]. With l = a B + b, B = ceil(sqrt N),
+    every c_l comes from two real (A, Q) @ (Q, B) products, cos cos - sin sin.
+    """
+    fine = math.isqrt(n - 1) + 1
+    coarse_lags = np.arange(0, n, fine) * spacing                   # a B d, (A,)
+    fine_lags = np.arange(fine) * spacing                           # b d, (B,)
+    moments = np.zeros((coarse_lags.size, fine))
+    for theta, w in _panel_nodes(fov, panels):
+        kx = np.sin(theta)
+        coarse = 2.0 * np.pi * np.multiply.outer(coarse_lags, kx)     # (A, Q)
+        fine_phase = 2.0 * np.pi * np.multiply.outer(fine_lags, kx)   # (B, Q)
+        moments += ((np.cos(coarse) * w) @ np.cos(fine_phase).T
+                    - (np.sin(coarse) * w) @ np.sin(fine_phase).T)
+    c = moments.ravel()[:n]
+    return float(n * c[0] ** 2 + 2.0 * np.sum((n - np.arange(1, n)) * c[1:] ** 2)) / n ** 2
 
 
 def conditional_ineffectiveness(z: float, m_paths: int, s: float) -> float:
@@ -198,7 +243,8 @@ def snr_ratio_theory(m_paths: int, s: float) -> float:
 
 
 def harmonic_number(m: int) -> float:
-    """H_m = sum_{k=1}^{m} 1/k."""
+    """H_m = sum_{k=1}^{m} 1/k, for an integer m >= 1."""
+    m = _integer("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return float(np.sum(1.0 / np.arange(1, m + 1)))
@@ -233,8 +279,10 @@ def _interference_power(m_paths: int, s: float) -> float:
 
 
 def _per_noise(n_elements: int, sigma0: float, gain: float) -> float:
-    """(N / sigma0^2) * gain; refuses N < 1, a sigma0 that is not positive or leaves
-    N / sigma0^2 not finite and positive, and a gain for which the SNR overflows."""
+    """(N / sigma0^2) * gain; refuses an N that is not an integer >= 1, a sigma0 that is
+    not positive or leaves N / sigma0^2 not finite and positive, and a gain for which the
+    SNR overflows."""
+    n_elements = _integer("n_elements", n_elements)
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     try:

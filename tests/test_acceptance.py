@@ -236,13 +236,17 @@ def test_criterion_8_determinism_across_workers(tmp_path, announce, monkeypatch)
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
     blockage = ["blockage-cdf", "--elements", "4", "--m-paths", "4",
                 "--trials", "48", "--freq-points", "64", "--seed", "13"]
-    # with this many paths the blockage kernel is built in slices of rows
+    # with this many paths the blockage kernel runs in trial slices of two
     wide = ["blockage-cdf", "--elements", "4", "--m-paths", "128",
             "--trials", "48", "--freq-points", "64", "--seed", "13"]
+    # the effectiveness kernel in trial slices of two: 64 elements, 127 and 128 paths
+    sliced = ["ineffectiveness", "--elements", "64", "--m-min", "127", "--m-max", "128",
+              "--trials", "48", "--seed", "13"]
     # eight blocks: the only case with two blocks per worker, so it runs on a real pool
     pooled = ["blockage-cdf", "--elements", "4", "--m-paths", "4",
               "--trials", "2048", "--freq-points", "64", "--seed", "13"]
-    labels = ("snr_csv", "snr_json", "blk_csv", "wide_blk_csv", "pooled_blk_csv")
+    labels = ("snr_csv", "snr_json", "blk_csv", "wide_blk_csv", "sliced_eff_json",
+              "pooled_blk_csv")
     pools = []
 
     class SpyPool(concurrent.futures.ProcessPoolExecutor):
@@ -258,6 +262,7 @@ def test_criterion_8_determinism_across_workers(tmp_path, announce, monkeypatch)
                                  ("snr_json", base, "json"),
                                  ("blk_csv", blockage, "csv"),
                                  ("wide_blk_csv", wide, "csv"),
+                                 ("sliced_eff_json", sliced, "json"),
                                  ("pooled_blk_csv", pooled, "csv")):
             for attempt in ("a", "b"):
                 path = tmp_path / f"{label}_{workers}_{attempt}.{fmt}"

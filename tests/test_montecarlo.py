@@ -17,8 +17,9 @@ from mrcbeam import (ChannelRealization, ExperimentConfig, FieldOfView,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
 from mrcbeam.beams import steering_matrix
-from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, _block_pools, _block_streams,
-                                _blockage_block, _words)
+from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, _band_block, _block_pools,
+                                _block_streams, _blockage_block, _effectiveness_block,
+                                _trial_slices, _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -438,17 +439,10 @@ class TestBlockage:
         assert len(remaining) == 30
 
     def test_block_memory_is_cache_sized(self):
-        # a 256-trial block at N=8, M=20 builds K six rows at a time; built whole,
-        # K and its evaluation lifted the block's peak to 4.7 MiB
+        # a 256-trial block at N=8, M=20 runs in trial slices of 81 and peaks at
+        # 1.8 MiB; whole-block steering took 2.9 MiB, and K built whole 4.7 MiB
         cfg = ExperimentConfig(n_elements=8, m_values=(20,), trials=256)
-        _blockage_block(cfg, (20, 0, 256))          # first-call caches and imports
-        tracemalloc.start()
-        try:
-            _blockage_block(cfg, (20, 0, 256))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * (1 << 20)
+        assert _peak_bytes(_blockage_block, cfg, (20, 0, 256)) < 2.25 * (1 << 20)
 
     def test_blocking_strongest_leaves_sidelobe_energy(self):
         # two paths, beam pointed at the stronger one, stronger one removed:
@@ -473,6 +467,50 @@ class TestBlockage:
             pre = band_average_gain(w, ch, arr, 1e9, 256) / noise_power(w, 1.0)
             post = band_average_gain(w, remove_component(ch, 1), arr, 1e9, 256) / noise_power(w, 1.0)
             assert post == pytest.approx(pre, rel=1e-12)
+
+
+def _peak_bytes(fn, *args) -> int:
+    """tracemalloc's peak over a second ``fn(*args)``; the first fills caches and imports."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrialSlices:
+    KERNELS = (_blockage_block, _effectiveness_block, _band_block)
+
+    @pytest.mark.parametrize("trials,n,m,step", [(256, 8, 20, 81), (256, 64, 128, 2),
+                                                 (1, 8, 20, 81), (5, 4096, 4096, 1),
+                                                 (256, 1000, 2, 16)])
+    def test_slices_cover_the_block_in_order(self, trials, n, m, step):
+        slices = _trial_slices(trials, n, m)
+        assert all(s.stop - s.start == step for s in slices)
+        assert np.array_equal(np.concatenate([np.arange(trials)[s] for s in slices]),
+                              np.arange(trials))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_block_memory_is_bounded_at_many_elements_and_paths(self, kernel):
+        # whole-block steering of 256 trials at N=64, M=128 alone is 33.5 MB, and such a
+        # block peaked at 66 MiB; in trial slices of two it peaks at about 3.6 MiB
+        cfg = ExperimentConfig(n_elements=64, m_values=(128,), trials=256, freq_points=64)
+        assert _peak_bytes(kernel, cfg, (128, 0, 256)) < 6 << 20
+
+    def test_one_trial_slices_match_one_whole_slice(self, monkeypatch):
+        cfg = ExperimentConfig(n_elements=8, m_values=(20,), trials=300, freq_points=64, seed=3)
+        block = (20, 44, 300)
+        monkeypatch.setattr(mrcbeam.montecarlo, "_KERNEL_SLICE", 1 << 40)
+        whole = [kernel(cfg, block) for kernel in self.KERNELS]
+        monkeypatch.setattr(mrcbeam.montecarlo, "_KERNEL_SLICE", 1)
+        assert len(_trial_slices(256, 8, 20)) == 256
+        blockage, effectiveness, band = (kernel(cfg, block) for kernel in self.KERNELS)
+        # band_power's row slices follow the trial slice, so its sums may round apart
+        np.testing.assert_allclose(blockage, whole[0], rtol=1e-13, atol=0)
+        assert np.array_equal(effectiveness, whole[1])
+        np.testing.assert_allclose(band, whole[2], rtol=1e-13, atol=0)
 
 
 def _pair_gain(arr, ch, m, h):

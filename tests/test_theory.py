@@ -172,9 +172,34 @@ class TestExactArrayParameter:
         array = make_ula(64, 0.5)
         s = exact_array_parameter(array, FOV180)
         panels = math.ceil(2 * np.pi * 31.5 * np.pi / theory._PANEL_PHASE)
-        doubled = theory._array_parameter_by_panels(array, FOV180, 2 * panels)
-        assert s == theory._array_parameter_by_panels(array, FOV180, panels)
+        doubled = theory._array_parameter_by_lags(64, 0.5, FOV180, 2 * panels)
+        assert s == theory._array_parameter_by_lags(64, 0.5, FOV180, panels)
         assert abs(s - doubled) <= 1e-13 * doubled
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 64, 256])
+    @pytest.mark.parametrize("spacing", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("fov_deg", [60, 120, 180])
+    def test_line_by_lags_matches_all_pairs(self, n, spacing, fov_deg):
+        # the O(N Q) lag form against the O(N^2 Q) sum over every element pair
+        array, fov = make_ula(n, spacing), FieldOfView.from_degrees(fov_deg)
+        panels = math.ceil(2 * np.pi * (n - 1) * spacing * 2 * fov.half_angle
+                           / theory._PANEL_PHASE) or 1
+        pairs = theory._array_parameter_by_panels(array, fov, panels)
+        lags = theory._array_parameter_by_lags(n, spacing, fov, panels)
+        assert lags == pytest.approx(pairs, rel=1e-14, abs=0)
+
+    def test_only_an_exact_line_takes_the_lag_form(self):
+        line = make_ula(5, 0.5)
+        assert theory._ula_spacing(line) == 0.5
+        assert theory._ula_spacing(make_ula(1, 0.5)) == 0.0
+        nudged = line.positions.copy()
+        nudged[-1, 0] += 1e-12
+        for positions in (line.positions[::-1], line.positions + [0.25, 0.0, 0.0],
+                          line.positions + [0.0, 0.0, 1e-9], nudged):
+            assert theory._ula_spacing(AntennaArray(positions)) is None
+        # any other array keeps the sum over every pair
+        assert exact_array_parameter(AntennaArray(nudged), FOV180) == pytest.approx(
+            exact_array_parameter(line, FOV180), rel=1e-9)
 
     def test_too_wide_array_rejected(self):
         with pytest.raises(ValueError, match="too wide"):
@@ -372,6 +397,43 @@ class TestPathCountCheck:
     @pytest.mark.parametrize("name", CLOSED_FORMS_IN_M)
     def test_numpy_integer_equals_int(self, name):
         assert CLOSED_FORMS_IN_M[name](np.int64(6)) == CLOSED_FORMS_IN_M[name](6)
+
+
+class TestIntegerArguments:
+    """Element, path and sample counts are checked by `theory._integer`."""
+
+    BAD = [2.5, 8.0, True, np.True_, "8", None]
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_snr_mrc_theory_element_count(self, n):
+        with pytest.raises(ValueError, match="n_elements must be an integer"):
+            snr_mrc_theory(n, 6, 0.1, 1.0)
+
+    @pytest.mark.parametrize("n", BAD)
+    def test_snr_single_theory_element_count(self, n):
+        with pytest.raises(ValueError, match="n_elements must be an integer"):
+            snr_single_theory(n, 6, 0.1, 1.0)
+
+    @pytest.mark.parametrize("m", BAD)
+    def test_harmonic_number_argument(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            harmonic_number(m)
+
+    @pytest.mark.parametrize("samples", BAD)
+    def test_estimate_sample_count(self, samples):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            estimate_array_parameter(make_ula(2, 0.5), FOV180, samples, rng)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integers_equal_ints(self):
+        assert snr_mrc_theory(np.int64(8), 6, 0.1, 1.0) == snr_mrc_theory(8, 6, 0.1, 1.0)
+        assert snr_single_theory(np.int32(8), 6, 0.1, 1.0) == snr_single_theory(8, 6, 0.1, 1.0)
+        assert harmonic_number(np.uint8(4)) == harmonic_number(4)
+        arr = make_ula(2, 0.5)
+        assert (estimate_array_parameter(arr, FOV180, np.int64(10), np.random.default_rng(5))
+                == estimate_array_parameter(arr, FOV180, 10, np.random.default_rng(5)))
 
 
 class TestHarmonicNumber:
