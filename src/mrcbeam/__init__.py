@@ -9,9 +9,10 @@ its (N,) complex weight vector, a plain numpy array.
 from .beams import (array_factor, classify_effectiveness, combined_response,
                     component_array_factor, decompose, interference_term,
                     mrc_weights, noise_power, pair_gain_matrix, pattern_gain_db,
-                    single_direction_weights, steering_matrix, strongest_component)
+                    per_antenna_response, single_direction_weights, steering_matrix,
+                    strongest_component)
 from .channel import (ChannelRealization, channel_from_json, channel_to_json,
-                      per_antenna_response, remove_component, sample_channel)
+                      remove_component, sample_channel)
 from .geometry import AntennaArray, FieldOfView, make_ula, normalize, phase_matrix
 from .montecarlo import (ExperimentConfig, SweepResult, band_average_gain,
                          run_blockage_experiment, run_effectiveness_sweep,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization, tone_sum
+from .channel import _KERNEL_SLICE, ChannelRealization, tone_sum
 from .geometry import AntennaArray, FieldOfView, as_directions, phase_matrix
 
 _GAIN_FLOOR = 1e-30          # power gain `pattern_gain_db` clamps pattern nulls to
@@ -81,10 +81,11 @@ def decompose(channel: ChannelRealization, array: AntennaArray, r: np.ndarray) -
 
 
 def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray:
-    """(..., N, M) plane-wave phasors e^{j phase} of (..., M, 3) unit vectors.
+    """(..., N, M) plane-wave phasors e^{j phase} of (..., M, 3) unit vectors: the one
+    place mrcbeam builds them.
 
     Built as cos + j sin into one complex array, with no complex temporary; on the
-    builds tried this is bit for bit ``np.exp(1j * phase)``.
+    builds tried this is bit for bit the complex ``np.exp`` of j times the phase.
     """
     phases = phase_matrix(array, unit_vectors)
     out = np.empty(phases.shape, dtype=complex)
@@ -152,6 +153,17 @@ def combined_response(weights: np.ndarray, channel: ChannelRealization,
     return out if out.ndim else complex(out)
 
 
+def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) -> np.ndarray:
+    """Channel frequency response at every element, for baseband frequency ``f``.
+
+    Entry n is sum_m alpha_m * e^{j phase_{n,m}} * e^{-j 2 pi f tau_m}.
+    ``f`` may be a scalar (returns shape (N,)) or a 1-D array of F
+    frequencies (returns shape (N, F)).
+    """
+    steering = steering_matrix(array, channel.direction_matrix())     # (N, M)
+    return tone_sum(steering * channel.amplitudes(), channel, f)
+
+
 def noise_power(weights: np.ndarray, sigma0: float) -> float:
     """Output noise variance for per-antenna noise std ``sigma0`` >= 0; refuses a sigma0
     for which it is not finite, or is 0 while the weights are not."""
@@ -171,7 +183,14 @@ def pattern_gain_db(weights: np.ndarray, array: AntennaArray, theta_deg: np.ndar
 
     Probes lie in the x-y plane at ``theta_deg`` from +y broadside, as `FieldOfView.direction_at`
     places them. Gains below `_GAIN_FLOOR` (true pattern nulls) are clamped so output stays finite.
+    The angles are steered a slice at a time, at most `_KERNEL_SLICE` phasors each, so memory
+    stays O(N + K) for K angles.
     """
-    vecs = FieldOfView(np.pi / 2).direction_at(np.radians(np.atleast_1d(theta_deg)))
-    factors = _weight_vector(weights, array) @ steering_matrix(array, vecs)
-    return 10.0 * np.log10(np.maximum(np.abs(factors) ** 2, _GAIN_FLOOR))
+    theta = np.radians(np.atleast_1d(theta_deg))
+    vecs = FieldOfView(np.pi / 2).direction_at(theta.ravel())
+    w = _weight_vector(weights, array)
+    width = max(1, _KERNEL_SLICE // array.n_elements)            # angles per slice
+    # no angles still make one, empty, slice
+    factors = np.concatenate([w @ steering_matrix(array, vecs[lo:lo + width])
+                              for lo in range(0, max(1, len(vecs)), width)])
+    return 10.0 * np.log10(np.maximum(np.abs(factors.reshape(theta.shape)) ** 2, _GAIN_FLOOR))

@@ -1,4 +1,4 @@
-"""Multipath channel realizations and their per-antenna frequency response.
+"""Multipath channel realizations and their delayed-tone sums over a band.
 
 A channel is a finite set of plane waves, each with a complex amplitude,
 a unit arrival direction and a propagation delay. Frequencies are baseband
@@ -13,7 +13,8 @@ import operator
 
 import numpy as np
 
-from .geometry import AntennaArray, FieldOfView, as_directions, normalize, phase_matrix
+# phase_matrix is not called here; imported only for perfbench/tracing.py to wrap.
+from .geometry import FieldOfView, as_directions, normalize, phase_matrix
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
@@ -133,17 +134,6 @@ def _paths_from_draws(fov: FieldOfView, delay_max: float, angles: np.ndarray,
     amplitudes.real, amplitudes.imag = normals[..., :m], normals[..., m:]
     amplitudes /= _SQRT2
     return amplitudes, fov.direction_at(angles), delays
-
-
-def per_antenna_response(channel: ChannelRealization, array: AntennaArray, f) -> np.ndarray:
-    """Channel frequency response at every element, for baseband frequency ``f``.
-
-    Entry n is sum_m alpha_m * e^{j phase_{n,m}} * e^{-j 2 pi f tau_m}.
-    ``f`` may be a scalar (returns shape (N,)) or a 1-D array of F
-    frequencies (returns shape (N, F)).
-    """
-    phases = phase_matrix(array, channel.direction_matrix())   # (N, M)
-    return tone_sum(np.exp(1j * phases) * channel.amplitudes(), channel, f)
 
 
 class EvenGrid:

@@ -218,22 +218,6 @@ def _block_streams(seed: int, m: int, lo: int, hi: int):
         yield np.random.Generator(np.random.PCG64(seed_type(state)))
 
 
-def _draw_block(cfg: ExperimentConfig, block):
-    """(T, M) amplitudes and (T, M, 3) vectors of a block's channels, and the
-    channels themselves, each drawn as a `ChannelRealization` from its own stream:
-    `band_average_gain` takes one channel per call.
-    """
-    m, lo, hi = block
-    fov = cfg.fov()
-    amplitudes, vectors = np.empty((hi - lo, m), dtype=complex), np.empty((hi - lo, m, 3))
-    channels = []
-    for i, rng in enumerate(_block_streams(cfg.seed, m, lo, hi)):
-        channel = sample_channel(m, fov, cfg.delay_max_s, rng)
-        amplitudes[i], vectors[i] = channel.amplitudes(), channel.direction_matrix()
-        channels.append(channel)
-    return amplitudes, vectors, channels
-
-
 def _trial_slices(trials: int, n: int, m: int) -> list[slice]:
     """Slices of a block's trials, each holding at most `_KERNEL_SLICE` entries of its
     (T, N, M) phasors or (T, M, M) kernel, and at least one trial.
@@ -245,6 +229,13 @@ def _trial_slices(trials: int, n: int, m: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, trials, step)]
 
 
+def _steered_slices(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray):
+    """Each `_trial_slices` slice of a block's (T, M) amplitudes and (T, M, 3) vectors,
+    with its (t, M) amplitudes, a view, and their (t, N, M) `steering_matrix`."""
+    for part in _trial_slices(len(amplitudes), array.n_elements, amplitudes.shape[1]):
+        yield part, amplitudes[part], steering_matrix(array, vectors[part])
+
+
 def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
     """(ineffective fraction, effective count) per trial of a block whose channels
     are drawn as raw arrays, one row per trial's stream, classified a trial slice
@@ -254,24 +245,28 @@ def _effectiveness_block(cfg: ExperimentConfig, block) -> np.ndarray:
     amplitudes, vectors, _ = sample_channel(m, cfg.fov(), cfg.delay_max_s,
                                             list(_block_streams(cfg.seed, m, lo, hi)))
     counts = np.empty(hi - lo, dtype=np.intp)
-    for part in _trial_slices(hi - lo, array.n_elements, m):
-        interference = cross_beam_interference(amplitudes[part],
-                                               steering_matrix(array, vectors[part]))
-        counts[part] = np.count_nonzero(np.abs(amplitudes[part]) >= np.abs(interference), axis=1)
+    for part, a, steering in _steered_slices(array, amplitudes, vectors):
+        counts[part] = np.count_nonzero(
+            np.abs(a) >= np.abs(cross_beam_interference(a, steering)), axis=1)
     return np.column_stack([(m - counts) / m, counts])
 
 
 def _band_block(cfg: ExperimentConfig, block) -> np.ndarray:
-    """Linear band-averaged SNR at unit noise of both beams per trial of a block;
-    the beams are designed a trial slice at a time, then each trial's two are
-    averaged over the band grid of its channel."""
+    """Linear band-averaged SNR at unit noise of both beams per trial of a block.
+
+    Each trial's channel is drawn as a `ChannelRealization` from its own stream,
+    because `band_average_gain` takes one channel per call. The beams are designed
+    a trial slice at a time, then each trial's two are averaged over the band grid
+    of its channel."""
     m, lo, hi = block
-    array = cfg.array()
-    amplitudes, vectors, channels = _draw_block(cfg, block)
+    array, fov = cfg.array(), cfg.fov()
+    channels = [sample_channel(m, fov, cfg.delay_max_s, rng)
+                for rng in _block_streams(cfg.seed, m, lo, hi)]
+    amplitudes = np.stack([channel.amplitudes() for channel in channels])
+    vectors = np.stack([channel.direction_matrix() for channel in channels])
     coeffs, noise = np.empty((hi - lo, 2, array.n_elements), dtype=complex), np.empty((hi - lo, 2))
-    for part in _trial_slices(hi - lo, array.n_elements, m):
-        coeffs[part], noise[part] = design_beams(amplitudes[part],
-                                                 steering_matrix(array, vectors[part]))
+    for part, a, steering in _steered_slices(array, amplitudes, vectors):
+        coeffs[part], noise[part] = design_beams(a, steering)
     out = np.empty(noise.shape)
     for i, channel in enumerate(channels):
         for j, weights in enumerate(coeffs[i]):
@@ -295,8 +290,7 @@ def _blockage_block(cfg: ExperimentConfig, block) -> np.ndarray:
     amplitudes, vectors, delays = sample_channel(m, cfg.fov(), cfg.delay_max_s, streams)
     blocked = np.array([rng.integers(m) for rng in streams])
     out = np.empty((hi - lo, 2))
-    for part in _trial_slices(hi - lo, array.n_elements, m):
-        steering, a = steering_matrix(array, vectors[part]), amplitudes[part]
+    for part, a, steering in _steered_slices(array, amplitudes, vectors):
         coeffs, noise = design_beams(a, steering)
         a[np.arange(a.shape[0]), blocked[part]] = 0.0
         gains = (coeffs @ steering) * a[:, None, :]                  # (T, 2, M)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beams import steering_matrix
+# phase_matrix is not called here; imported only for perfbench/tracing.py to wrap.
 from .geometry import AntennaArray, FieldOfView, phase_matrix
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -79,8 +81,8 @@ def estimate_array_parameter(array: AntennaArray, fov: FieldOfView, samples: int
         gain = np.empty(count)
         for lo in range(0, count, width):
             hi = min(lo + width, count)
-            probe = np.exp(1j * phase_matrix(array, vecs[lo:hi]))             # (N, hi - lo)
-            other = np.exp(1j * phase_matrix(array, vecs[count + lo:count + hi]))
+            probe = steering_matrix(array, vecs[lo:hi])                       # (N, hi - lo)
+            other = steering_matrix(array, vecs[count + lo:count + hi])
             gain[lo:hi] = np.abs(np.sum(np.conj(other) * probe, axis=0)) ** 2
         gain /= array.n_elements ** 2
         total += float(np.sum(gain))
@@ -150,7 +152,7 @@ def _array_parameter_by_panels(array: AntennaArray, fov: FieldOfView, panels: in
     n = array.n_elements
     phi = np.zeros((n, n), dtype=complex)
     for theta, w in _panel_nodes(fov, panels):
-        a = np.exp(1j * phase_matrix(array, fov.direction_at(theta)))   # (N, Q)
+        a = steering_matrix(array, fov.direction_at(theta))             # (N, Q)
         phi += (a * w) @ a.conj().T
     return float(np.sum(phi.real ** 2 + phi.imag ** 2)) / n ** 2
 

@@ -1,14 +1,18 @@
 import copy
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import mrcbeam.beams
+import mrcbeam.channel
 from mrcbeam import (AntennaArray, ChannelRealization, FieldOfView,
                      array_factor, band_average_gain,
                      classify_effectiveness, combined_response,
-                     component_array_factor, decompose, interference_term,
+                     component_array_factor, decompose, estimate_array_parameter,
+                     exact_array_parameter, interference_term,
                      make_ula, mrc_weights, noise_power, normalize, pair_gain_matrix,
                      pattern_gain_db, per_antenna_response, phase_matrix, remove_component,
                      sample_channel, single_direction_weights, steering_matrix,
@@ -368,6 +372,36 @@ class TestCombinedResponse:
             assert abs(got) == pytest.approx(abs(alpha), rel=1e-12)
 
 
+class TestSteeringMatrix:
+    def test_every_phasor_is_built_from_beams_phase_matrix(self, monkeypatch):
+        # the per-antenna response and both array-parameter forms steer through
+        # steering_matrix, whose phases come from the name beams.phase_matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return phase_matrix(*args)
+
+        monkeypatch.setattr(mrcbeam.beams, "phase_matrix", counted)
+        grid = AntennaArray([[0.5 * i, 0.0, 0.5 * k] for i in range(2) for k in range(2)])
+        for run in (lambda: per_antenna_response(_random_channel(3, seed=4), grid, 1e8),
+                    lambda: estimate_array_parameter(grid, FOV180, 10, np.random.default_rng(1)),
+                    lambda: exact_array_parameter(grid, FOV180)):
+            calls.clear()
+            run()
+            assert calls
+
+    def test_matches_the_complex_exponential(self):
+        vecs = FOV180.direction_at(np.linspace(-1.5, 1.5, 101))
+        for arr in (make_ula(64, 0.5), PLANAR_3X3):
+            np.testing.assert_allclose(steering_matrix(arr, vecs),
+                                       np.exp(1j * phase_matrix(arr, vecs)), rtol=0, atol=1e-15)
+
+    def test_per_antenna_response_lives_in_beams(self):
+        assert mrcbeam.per_antenna_response is mrcbeam.beams.per_antenna_response
+        assert not hasattr(mrcbeam.channel, "per_antenna_response")
+
+
 class TestCombinedResponseGrid:
     _F, _FREQS = even_grid(-5e8, 5e8, 33), np.linspace(-5e8, 5e8, 33)
 
@@ -531,6 +565,37 @@ class TestPatternExport:
         weak_db = pattern_gain_db(w_weak, PLANAR_3X3, thetas)[0]
         strong_db = pattern_gain_db(w_strong, PLANAR_3X3, thetas)[0]
         assert strong_db > weak_db + 3.0
+
+    def test_many_angles_at_many_elements_in_bounded_memory(self):
+        # the (N, K) phases and phasors alone were 1.77 GB here; in slices of 2^15 // N = 8
+        # angles a call holds one slice's 0.75 MiB and the O(K) angle arrays, under 2.5 MB
+        arr, thetas = make_ula(4096, 0.5), np.linspace(-90.0, 90.0, 18_001)
+        w = np.full(arr.n_elements, 1.0 / arr.n_elements, dtype=complex)
+        pattern_gain_db(w, arr, thetas[:2])
+        tracemalloc.start()
+        try:
+            gains = pattern_gain_db(w, arr, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert gains.shape == thetas.shape and gains[9000] == pytest.approx(0.0, abs=1e-12)
+
+    def test_angle_slices_agree_with_one_matrix(self, monkeypatch):
+        # 361 angles in slices of 8 leave a one-angle last slice, whose product rounds
+        # apart from the same column of a whole matrix's
+        arr, thetas = make_ula(4096, 0.5), np.arange(-90.0, 90.5, 0.5)
+        w = mrc_weights(_random_channel(6, seed=9), arr)
+        sliced = pattern_gain_db(w, arr, thetas)
+        monkeypatch.setattr(mrcbeam.beams, "_KERNEL_SLICE", 1 << 40)
+        np.testing.assert_allclose(sliced, pattern_gain_db(w, arr, thetas), rtol=0, atol=1e-12)
+
+    def test_angle_array_shape_is_kept(self):
+        arr, w = make_ula(4, 0.5), np.ones(4)
+        assert pattern_gain_db(w, arr, []).shape == (0,)
+        assert pattern_gain_db(w, arr, 5.0).shape == (1,)
+        grid = pattern_gain_db(w, arr, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(grid.ravel(), pattern_gain_db(w, arr, [1.0, 2.0, 3.0, 4.0]))
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_angles_rejected_without_a_warning(self, angle):

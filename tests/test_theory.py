@@ -188,6 +188,36 @@ class TestExactArrayParameter:
         lags = theory._array_parameter_by_lags(n, spacing, fov, panels)
         assert lags == pytest.approx(pairs, rel=1e-14, abs=0)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 on this platform")
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_line_by_lags_matches_long_double_oracle(self, n):
+        # The same float64 nodes and weights, and the same lag split l = a B + b, in long
+        # double. Each float64 phase 2 pi l d sin(theta) rounds pi, sin(theta) and two
+        # products, a relative error of at most 2.5 eps. A common relative phase error
+        # acts as a change of spacing; at d = 1/2 over 180 degrees, s N^2 = N + 2 sum
+        # (N - l) J0(pi l)^2 and J0 J1(pi l) ~ -1 / (pi^2 l), so d ln s / d ln d ~ 2 / (pi s)
+        # <= 2 N / pi, as s >= 1 / N. That bounds the error by 1.6 N eps; the cos and sin
+        # ulps and the sums over nodes are independent roundings, smaller still.
+        ld, fov = np.longdouble, FOV180
+        panels = math.ceil(2 * np.pi * (n - 1) * 0.5 * 2 * fov.half_angle
+                           / theory._PANEL_PHASE)
+        two_pi = 8 * np.arctan(ld(1))
+        fine = math.isqrt(n - 1) + 1
+        coarse_lags = np.arange(0, n, fine).astype(ld) * ld(0.5)
+        fine_lags = np.arange(fine).astype(ld) * ld(0.5)
+        moments = np.zeros((coarse_lags.size, fine), dtype=ld)
+        for theta, w in theory._panel_nodes(fov, panels):
+            kx, w = np.sin(theta.astype(ld)), w.astype(ld)
+            coarse = two_pi * np.multiply.outer(coarse_lags, kx)
+            fine_phase = two_pi * np.multiply.outer(fine_lags, kx)
+            moments += ((np.cos(coarse) * w) @ np.cos(fine_phase).T
+                        - (np.sin(coarse) * w) @ np.sin(fine_phase).T)
+        c = moments.ravel()[:n]
+        oracle = (n * c[0] ** 2 + 2 * np.sum((n - np.arange(1, n)) * c[1:] ** 2)) / ld(n) ** 2
+        got = theory._array_parameter_by_lags(n, 0.5, fov, panels)
+        assert abs(ld(got) - oracle) <= 2 * n * np.finfo(float).eps * oracle
+
     def test_only_an_exact_line_takes_the_lag_form(self):
         line = make_ula(5, 0.5)
         assert theory._ula_spacing(line) == 0.5
