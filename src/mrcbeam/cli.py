@@ -22,7 +22,7 @@ from .montecarlo import (MAX_PATHS, ExperimentConfig, run_blockage_experiment,
                          run_effectiveness_sweep, run_snr_sweep, trial_rng)
 from .theory import estimate_array_parameter
 
-MAX_PATTERN_ANGLES = 1 << 20   # most beam-pattern angles, 180 / --grid-deg: refused before the grid
+MAX_PATTERN_ANGLES = 1 << 20   # most 180 / --grid-deg, one less than the most angles; checked first
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -209,33 +209,34 @@ def _cmd_array_param(args) -> None:
           [(args.elements, args.fov_deg, est.s, est.stderr, est.samples)])
 
 
-def _cmd_effectiveness(args, quantity: str) -> None:
-    cfg = _experiment_config(args, _m_sweep(args))
-    result = run_effectiveness_sweep(cfg)
-    _emit(args, quantity, output.config_dict(cfg), output.sweep_columns_json(result),
-          ["m", "theory", "empirical", "stderr"],
-          output.effectiveness_rows(result, quantity))
+# command -> (experiment in this module, CSV header, CSV row function in `output`, and
+# the row function's arguments after the result). Both functions are looked up by name
+# when the command runs, so a replacement set on either module is the one called.
+_EXPERIMENTS = {
+    **{quantity: ("run_effectiveness_sweep", ["m", "theory", "empirical", "stderr"],
+                  "effectiveness_rows", quantity)
+       for quantity in ("ineffectiveness", "effective-components")},
+    "snr-sweep": ("run_snr_sweep", ["m", "mrc_theory_db", "mrc_sim_db", "single_theory_db",
+                                    "single_sim_db"], "snr_rows"),
+    "blockage-cdf": ("run_blockage_experiment", ["beam_kind", "snr_db"], "blockage_rows"),
+}
 
 
-def _cmd_snr_sweep(args) -> None:
-    cfg = _experiment_config(args, _m_sweep(args))
-    result = run_snr_sweep(cfg)
-    _emit(args, "snr-sweep", output.config_dict(cfg), output.sweep_columns_json(result),
-          ["m", "mrc_theory_db", "mrc_sim_db", "single_theory_db", "single_sim_db"],
-          output.snr_rows(result))
-
-
-def _cmd_blockage(args) -> None:
-    cfg = _experiment_config(args, (args.m_paths,))
-    result = run_blockage_experiment(cfg)
-    _emit(args, "blockage-cdf", output.config_dict(cfg),
-          output.sweep_columns_json(result), ["beam_kind", "snr_db"],
-          output.blockage_rows(result))
+def _cmd_experiment(args) -> None:
+    run, header, rows, *rows_args = _EXPERIMENTS[args.command]
+    cfg = _experiment_config(args, (args.m_paths,) if "m_paths" in args else _m_sweep(args))
+    result = globals()[run](cfg)
+    _emit(args, args.command, output.config_dict(cfg), output.sweep_columns_json(result),
+          header, getattr(output, rows)(result, *rows_args))
 
 
 def _cmd_beam_pattern(args) -> None:
     with open(args.channel_file) as fh:
-        channel = channel_from_json(json.load(fh))
+        try:
+            record = json.load(fh)
+        except RecursionError:      # bad input here; anywhere else, a fault of the program
+            raise ValueError("channel file is nested too deeply to read") from None
+    channel = channel_from_json(record)
     # these weights give |F| <= sum |a_m| <= 2 M max(|Re a|, |Im a|), a bound that
     # floats reach without a warning; its square must be finite for finite gains
     bound = 2.0 * channel.m_paths * float(np.abs(channel.amplitudes().view(float)).max())
@@ -252,12 +253,10 @@ def _cmd_beam_pattern(args) -> None:
     # the last one just past it
     thetas = np.minimum(-90.0 + np.arange(int(180.0 / step) + 1) * step, 90.0)
     gains = pattern_gain_db(weights, array, thetas)
-    rows = list(zip((float(t) for t in thetas), (float(g) for g in gains)))
     config = {"n_elements": args.elements, "spacing_wavelengths": args.spacing,
               "channel_file": args.channel_file, "grid_deg": args.grid_deg}
-    _emit(args, "beam-pattern", config,
-          {"theta_deg": [r[0] for r in rows], "gain_db": [r[1] for r in rows]},
-          ["theta_deg", "gain_db"], rows)
+    _emit(args, "beam-pattern", config, {"theta_deg": thetas, "gain_db": gains},
+          ["theta_deg", "gain_db"], output.array_rows(thetas, gains))
 
 
 def _cmd_dump_channel(args) -> None:
@@ -269,21 +268,14 @@ def _cmd_dump_channel(args) -> None:
     output.write_json(channel_to_json(channel), args.output)
 
 
+_COMMANDS = {"array-param": _cmd_array_param, "beam-pattern": _cmd_beam_pattern,
+             "dump-channel": _cmd_dump_channel, **dict.fromkeys(_EXPERIMENTS, _cmd_experiment)}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        if args.command == "array-param":
-            _cmd_array_param(args)
-        elif args.command in ("ineffectiveness", "effective-components"):
-            _cmd_effectiveness(args, args.command)
-        elif args.command == "snr-sweep":
-            _cmd_snr_sweep(args)
-        elif args.command == "blockage-cdf":
-            _cmd_blockage(args)
-        elif args.command == "beam-pattern":
-            _cmd_beam_pattern(args)
-        elif args.command == "dump-channel":
-            _cmd_dump_channel(args)
+        _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"mrcbeam: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

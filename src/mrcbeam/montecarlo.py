@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,28 +97,28 @@ class ExperimentConfig:
         return self.delay_max_ns * 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Aggregated experiment output.
 
     ``columns`` holds per-m aggregate values aligned with ``m_values``;
-    ``samples`` holds the full sorted per-trial SNR lists (dB) per beam
-    kind for distribution experiments, empty otherwise.
+    ``samples`` holds sorted per-trial SNR arrays (dB) per beam kind for
+    distribution experiments, empty otherwise. ``==`` is identity.
     """
 
     m_values: tuple[int, ...]
     trials: int
     columns: dict[str, tuple[float, ...]]
-    samples: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    samples: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, vals in self.columns.items():
             if len(vals) != len(self.m_values):
                 raise ValueError(f"column {name!r} length does not match m_values")
         for name, vals in self.samples.items():
-            if len(vals) != self.trials:
+            if np.shape(vals) != (self.trials,):
                 raise ValueError(f"sample list {name!r} must hold one value per trial")
-            if any(b < a for a, b in zip(vals, vals[1:])):
+            if np.any(np.diff(vals) < 0):
                 raise ValueError(f"sample list {name!r} must be sorted nondecreasing")
 
 
@@ -335,9 +336,7 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     s = exact_array_parameter(cfg.array(), cfg.fov())
     results = _run_trials(_effectiveness_block, cfg, cfg.m_values)
-    cols: dict[str, list[float]] = {name: [] for name in (
-        "p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr",
-        "count_theory", "count_mean", "count_stderr", "count_median")}
+    cols: dict[str, list[float]] = defaultdict(list)
     for m in cfg.m_values:
         fracs, counts = results[m].T
         p_mean, p_err = _mean_stderr(fracs)
@@ -366,9 +365,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     s = exact_array_parameter(cfg.array(), cfg.fov())
     noise_db = 20.0 * math.log10(cfg.sigma0)
     results = _run_trials(_band_block, cfg, cfg.m_values)
-    cols: dict[str, list[float]] = {name: [] for name in (
-        "mrc_theory_db", "mrc_sim_db", "mrc_sim_stderr_db",
-        "single_theory_db", "single_sim_db", "single_sim_stderr_db")}
+    cols: dict[str, list[float]] = defaultdict(list)
     for m in cfg.m_values:
         mrc_lin, single_lin = results[m].T
         for prefix, lin, theory in (
@@ -387,8 +384,8 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Post-blockage SNR distribution for beams designed before the blockage.
 
     Requires a single entry in ``m_values`` with at least two paths, so a
-    component can be removed. Returns the full sorted per-trial SNR lists
-    in dB under the ``samples`` keys "mrc" and "single": each trial's SNR at
+    component can be removed. Returns read-only sorted arrays of per-trial
+    SNRs under the ``samples`` keys "mrc" and "single": each trial's SNR at
     unit noise in dB, less the noise power 20 log10(sigma0) dB.
     """
     if len(cfg.m_values) != 1:
@@ -403,5 +400,6 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
         snr_db = 10.0 * np.log10(lin) - noise_db
         mean, err = _mean_stderr(snr_db)
         cols[f"{kind}_mean_db"], cols[f"{kind}_stderr_db"] = (mean,), (err,)
-        samples[kind] = tuple(float(x) for x in np.sort(snr_db))
+        samples[kind] = np.sort(snr_db)
+        samples[kind].flags.writeable = False
     return SweepResult((m,), cfg.trials, cols, samples)

@@ -7,16 +7,25 @@ round-trip form and JSON keys are sorted.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
+
+import numpy as np
 
 from .montecarlo import ExperimentConfig, SweepResult
 
 _FREQ_UNITS = {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+_ROW_CHUNK = 4096            # array rows turned into Python values at a time
+# effectiveness quantity -> its (theory, empirical, stderr) columns
+_EFFECTIVENESS_KEYS = {
+    "ineffectiveness": ("p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr"),
+    "effective-components": ("count_theory", "count_mean", "count_stderr"),
+}
 
 
 def parse_frequency(text: str) -> float:
@@ -33,21 +42,31 @@ def parse_frequency(text: str) -> float:
         raise ValueError(f"cannot parse frequency {text!r}") from None
 
 
-def write_csv(header: list[str], rows: list[tuple], path: str | None) -> None:
-    """Write rows under a stable header to ``path`` or standard output."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), path)
+def write_csv(header: list[str], rows: Iterable[tuple], path: str | None) -> None:
+    """Write rows under a stable header to ``path`` or standard output as they come."""
+    with _opened(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(payload: dict, path: str | None) -> None:
     """Write a JSON document with sorted keys to ``path`` or standard output.
 
-    JSON has no NaN or infinity: a non-finite number raises ValueError.
+    Arrays in ``payload`` are written as lists. JSON has no NaN or infinity: a
+    non-finite number raises ValueError, before anything is written.
     """
-    _write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", path)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                      default=np.ndarray.tolist)
+    with _opened(path) as fh:
+        fh.write(text + "\n")
+
+
+def array_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """Rows of equal-length 1-D arrays as Python values, converted `_ROW_CHUNK` rows
+    at a time, so that no list of every row is held."""
+    for lo in range(0, len(columns[0]), _ROW_CHUNK):
+        yield from zip(*(column[lo:lo + _ROW_CHUNK].tolist() for column in columns))
 
 
 def json_stderr(value: float, samples: int) -> float | None:
@@ -55,12 +74,9 @@ def json_stderr(value: float, samples: int) -> float | None:
     return value if samples > 1 else None
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _opened(path: str | None):
+    """``path`` opened for writing, or standard output, which exiting leaves open."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
 def run_metadata(command: str, cfg_dict: dict) -> dict:
@@ -85,7 +101,6 @@ def config_dict(cfg: ExperimentConfig) -> dict:
     """
     config = asdict(cfg)
     config.pop("workers")
-    config["m_values"] = list(config["m_values"])
     return config
 
 
@@ -100,36 +115,29 @@ def json_payload(command: str, config: dict, results: dict) -> dict:
 
 
 def sweep_columns_json(result: SweepResult) -> dict:
+    """A sweep's columns, and its sample arrays if it has any, for `write_json`."""
     columns = {k: [json_stderr(x, result.trials) for x in v] if "stderr" in k else list(v)
                for k, v in result.columns.items()}
     out: dict = {"m_values": list(result.m_values), "trials": result.trials,
                  "columns": columns}
     if result.samples:
-        out["samples"] = {k: list(v) for k, v in result.samples.items()}
+        out["samples"] = dict(result.samples)
     return out
 
 
-def effectiveness_rows(result: SweepResult, quantity: str) -> list[tuple]:
+def effectiveness_rows(result: SweepResult, quantity: str) -> Iterator[tuple]:
     """Rows (m, theory, empirical, stderr) for one effectiveness quantity."""
-    if quantity == "ineffectiveness":
-        keys = ("p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr")
-    elif quantity == "effective-components":
-        keys = ("count_theory", "count_mean", "count_stderr")
-    else:
-        raise ValueError(f"unknown effectiveness quantity {quantity!r}")
-    cols = result.columns
-    return [(m,) + tuple(cols[k][i] for k in keys)
-            for i, m in enumerate(result.m_values)]
+    return zip(result.m_values, *(result.columns[k] for k in _EFFECTIVENESS_KEYS[quantity]))
 
 
-def snr_rows(result: SweepResult) -> list[tuple]:
-    cols = result.columns
-    return [(m, cols["mrc_theory_db"][i], cols["mrc_sim_db"][i],
-             cols["single_theory_db"][i], cols["single_sim_db"][i])
-            for i, m in enumerate(result.m_values)]
+def snr_rows(result: SweepResult) -> Iterator[tuple]:
+    """Rows (m, mrc_theory_db, mrc_sim_db, single_theory_db, single_sim_db)."""
+    return zip(result.m_values, *(result.columns[k] for k in (
+        "mrc_theory_db", "mrc_sim_db", "single_theory_db", "single_sim_db")))
 
 
-def blockage_rows(result: SweepResult) -> list[tuple]:
-    rows = [("mrc", v) for v in result.samples["mrc"]]
-    rows += [("single", v) for v in result.samples["single"]]
-    return rows
+def blockage_rows(result: SweepResult) -> Iterator[tuple]:
+    """Rows (beam_kind, snr_db), one per trial: every "mrc" sample, then every "single"."""
+    for kind in ("mrc", "single"):
+        for (value,) in array_rows(result.samples[kind]):
+            yield kind, value

@@ -12,7 +12,7 @@ import pytest
 
 import mrcbeam
 import mrcbeam.cli
-from mrcbeam import ArrayParameterEstimate, channel_from_json
+from mrcbeam import ArrayParameterEstimate, channel_from_json, output
 from mrcbeam.cli import main, parse_args
 from mrcbeam.output import parse_frequency, write_csv
 
@@ -98,6 +98,13 @@ class TestCsvWriter:
         path = tmp_path / "empty.csv"
         write_csv(["m", "theory", "empirical", "stderr"], [], str(path))
         assert path.read_text() == "m,theory,empirical,stderr\n"
+
+    def test_array_rows_cross_chunks(self, tmp_path):
+        # rows stream from the arrays a chunk at a time, as Python floats
+        x = np.linspace(-1.0, 1.0, 2 * output._ROW_CHUNK + 3)
+        path = tmp_path / "rows.csv"
+        write_csv(["x", "y"], output.array_rows(x, x / 3), str(path))
+        assert path.read_text() == "x,y\n" + "".join(f"{v!r},{v / 3!r}\n" for v in x.tolist())
 
 
 class TestCommands:
@@ -267,6 +274,14 @@ class TestBadInput:
         path.write_text(json.dumps(record))
         _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, "[" * 200_000 + "]" * 200_000, "{"],
+                             ids=["deep-open", "deep-closed", "truncated"])
+    def test_bad_channel_text(self, text, tmp_path, capsys):
+        # the json module recurses once per nesting level; too deep a file is bad input
+        path = tmp_path / "ch.json"
+        path.write_text(text)
+        _fails_with_one_error_line(["beam-pattern", "--channel-file", str(path)], capsys)
+
     @pytest.mark.parametrize("component, message", [
         (dict(_GOOD_COMPONENT, kx=0.0, ky=0.0), "cannot normalize a zero or non-finite vector"),
         (dict(_GOOD_COMPONENT, delay_ns=-1.0), "'delay_ns' must be >= 0, got -1.0"),
@@ -316,13 +331,22 @@ class TestBadInput:
                             lambda *args: ArrayParameterEstimate(float("nan"), 10, 0.1))
         _fails_with_one_error_line(["array-param", "--format", "json"], capsys)
 
+    # each experiment is looked up on mrcbeam.cli when its command runs, so a replacement
+    # set there is the one called
+    @pytest.mark.parametrize("command, run", [
+        ("ineffectiveness", "run_effectiveness_sweep"),
+        ("effective-components", "run_effectiveness_sweep"),
+        ("snr-sweep", "run_snr_sweep"),
+        ("blockage-cdf", "run_blockage_experiment"),
+    ])
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 32.0 GiB")],
                              ids=["bare", "with-message"])
-    def test_failed_allocation_fails_cleanly(self, exc, monkeypatch, capsys):
-        def run_snr_sweep(cfg):
+    def test_failed_allocation_fails_cleanly(self, exc, command, run, monkeypatch, capsys):
+        def failing(cfg):
             raise exc
-        monkeypatch.setattr(mrcbeam.cli, "run_snr_sweep", run_snr_sweep)
-        _fails_with_one_error_line(["snr-sweep", "--elements", "4", "--trials", "3"], capsys)
+        monkeypatch.setattr(mrcbeam.cli, run, failing)
+        line = _fails_with_one_error_line([command, "--elements", "4", "--trials", "3"], capsys)
+        assert line == f"mrcbeam: error: {exc.args[0] if exc.args else 'MemoryError'}"
 
     def test_control_component_is_accepted(self, tmp_path):
         path = tmp_path / "ch.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -17,9 +18,9 @@ from mrcbeam import (ChannelRealization, ExperimentConfig, FieldOfView,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
 from mrcbeam.beams import steering_matrix
-from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, _band_block, _block_pools,
-                                _block_streams, _blockage_block, _effectiveness_block,
-                                _trial_slices, _words)
+from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, SweepResult, _band_block,
+                                _block_pools, _block_streams, _blockage_block,
+                                _effectiveness_block, _trial_slices, _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -425,6 +426,28 @@ class TestBlockage:
             assert all(b >= a for a, b in zip(vals, vals[1:]))
             assert all(np.isfinite(vals))
 
+    @pytest.mark.parametrize("samples, message", [
+        ({"mrc": np.zeros(3)}, "sample list 'mrc' must hold one value per trial"),
+        ({"mrc": np.array([0.0, 2.0, 1.0, 3.0])}, "sample list 'mrc' must be sorted"),
+        ({"mrc": np.arange(4.0)}, None),
+    ], ids=["wrong-length", "unsorted", "sorted"])
+    def test_sweep_result_checks_samples(self, samples, message):
+        make = functools.partial(SweepResult, (4,), 4, {"mrc_mean_db": (1.0,)}, samples)
+        if message:
+            with pytest.raises(ValueError, match=message):
+                make()
+        else:
+            res, res2 = make(), make()
+            assert res == res and res != res2        # identity, never an array comparison
+
+    def test_samples_are_read_only_arrays(self):
+        res = run_blockage_experiment(ExperimentConfig(n_elements=4, m_values=(3,), trials=5,
+                                                       freq_points=16))
+        for vals in res.samples.values():
+            assert vals.dtype == np.float64 and vals.shape == (5,)
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 0.0
+
     def test_growing_trials_extends_sample_multiset(self):
         # per-trial streams do not depend on the trial count
         small = run_blockage_experiment(
@@ -544,4 +567,6 @@ class TestDeterminism:
         d = run_blockage_experiment(
             ExperimentConfig(n_elements=4, m_values=(4,), trials=600, seed=12,
                              freq_points=64, workers=3))
-        assert c.samples == d.samples
+        assert c.samples.keys() == d.samples.keys()
+        for kind in c.samples:
+            assert c.samples[kind].tobytes() == d.samples[kind].tobytes()
