@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _KERNEL_SLICE, ChannelRealization, tone_sum
+from .channel import ChannelRealization, _slices, tone_sum
 from .geometry import AntennaArray, FieldOfView, as_directions, phase_matrix
 
 _GAIN_FLOOR = 1e-30          # power gain `pattern_gain_db` clamps pattern nulls to
@@ -183,14 +183,13 @@ def pattern_gain_db(weights: np.ndarray, array: AntennaArray, theta_deg: np.ndar
 
     Probes lie in the x-y plane at ``theta_deg`` from +y broadside, as `FieldOfView.direction_at`
     places them. Gains below `_GAIN_FLOOR` (true pattern nulls) are clamped so output stays finite.
-    The angles are steered a slice at a time, at most `_KERNEL_SLICE` phasors each, so memory
-    stays O(N + K) for K angles.
+    A `channel._slices` slice of angles at a time, N phasors each, is steered and written into
+    the result, so for K angles the only O(K) arrays held are the radians and the result.
     """
     theta = np.radians(np.atleast_1d(theta_deg))
-    vecs = FieldOfView(np.pi / 2).direction_at(theta.ravel())
-    w = _weight_vector(weights, array)
-    width = max(1, _KERNEL_SLICE // array.n_elements)            # angles per slice
-    # no angles still make one, empty, slice
-    factors = np.concatenate([w @ steering_matrix(array, vecs[lo:lo + width])
-                              for lo in range(0, max(1, len(vecs)), width)])
-    return 10.0 * np.log10(np.maximum(np.abs(factors.reshape(theta.shape)) ** 2, _GAIN_FLOOR))
+    plane, w = FieldOfView(np.pi / 2), _weight_vector(weights, array)
+    out = np.empty(theta.shape)
+    for part in _slices(out.size, array.n_elements):
+        gain = np.abs(w @ steering_matrix(array, plane.direction_at(theta.flat[part]))) ** 2
+        out.flat[part] = 10.0 * np.log10(np.maximum(gain, _GAIN_FLOOR))
+    return out

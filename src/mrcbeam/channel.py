@@ -18,9 +18,17 @@ from .geometry import FieldOfView, as_directions, normalize, phase_matrix
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
-# entries of phasors or kernel that one trial slice of a block (`montecarlo._trial_slices`)
-# or one row slice of `band_power` holds at once: 256 KiB of doubles, cache-sized
+# entries of phasors or kernel that one slice of a bounded-memory stage holds at once
+# (`_slices`): 256 KiB of doubles, cache-sized. The one memory budget of every such stage.
 _KERNEL_SLICE = 1 << 15
+
+
+def _slices(count: int, entries: int) -> list[slice]:
+    """Slices of ``count`` items in order, each of at least one and at most
+    `_KERNEL_SLICE` // ``entries`` items, for a stage that holds ``entries`` values per
+    item."""
+    step = max(1, _KERNEL_SLICE // entries)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 class ChannelRealization:
@@ -218,23 +226,21 @@ def band_power(gains: np.ndarray, delays: np.ndarray, bandwidth: float, n: int) 
     mean is Re(g K g^H) with the grid's real Dirichlet kernel
     K[m, m'] = sin(n x) / (n sin x), x = pi (bandwidth / (n - 1)) (tau_m - tau_m'):
     M (M - 1) / 2 kernel entries per channel, which all B rows share, where a sum
-    over the grid takes M n tones per row. K is built a slice of rows at a time,
-    with about `_KERNEL_SLICE` entries over all channels (at least one row each),
-    so memory stays bounded at any M.
+    over the grid takes M n tones per row. K is built a `_slices` slice of rows at a
+    time, each row M entries over all channels, so memory stays bounded at any M.
     """
     m = delays.shape[-1]
-    width = max(1, _KERNEL_SLICE // (delays[..., 0].size * m))     # rows of K per slice
     step = bandwidth / (n - 1)
     cross = 0.0
-    for top in range(0, m, width):
-        h = min(width, m - top)
+    for part in _slices(m, delays[..., 0].size * m):
+        top, h = part.start, part.stop - part.start
         rows, cols = np.triu_indices(h, 1, m - top)   # K above the diagonal; K is symmetric
         upper = np.zeros(delays.shape[:-1] + (h, m - top))
         upper[..., rows, cols] = _dirichlet(
             n, step * (delays[..., top + rows] - delays[..., top + cols]))
         # g K g^H = sum_m |g_m|^2 + 2 sum_{m < m'} K[m, m'] Re(g_m conj(g_m'))
-        cross = cross + sum(((part[..., top:top + h] @ upper) * part[..., top:]).sum(-1)
-                            for part in (gains.real, gains.imag))
+        cross = cross + sum(((g[..., part] @ upper) * g[..., top:]).sum(-1)
+                            for g in (gains.real, gains.imag))
     return (gains.real ** 2 + gains.imag ** 2).sum(-1) + 2.0 * cross
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .beams import (combined_response, cross_beam_interference, design_beams, mrc_weights,
                     noise_power, pair_gain_matrix, single_direction_weights, steering_matrix,
                     strongest_component)
-from .channel import (_KERNEL_SLICE, ChannelRealization, band_power, even_grid, remove_component,
+from .channel import (ChannelRealization, _slices, band_power, even_grid, remove_component,
                       sample_channel)
 from .geometry import AntennaArray, FieldOfView, make_ula
 from .theory import (_integer, effective_count, estimate_array_parameter,
@@ -219,21 +219,16 @@ def _block_streams(seed: int, m: int, lo: int, hi: int):
         yield np.random.Generator(np.random.PCG64(seed_type(state)))
 
 
-def _trial_slices(trials: int, n: int, m: int) -> list[slice]:
-    """Slices of a block's trials, each holding at most `_KERNEL_SLICE` entries of its
-    (T, N, M) phasors or (T, M, M) kernel, and at least one trial.
-
-    A block's streams and draws run whole; the stages after them run a slice at a
-    time, so a block's memory stays bounded at every size the limits accept.
-    """
-    step = max(1, _KERNEL_SLICE // (m * max(m, n)))
-    return [slice(lo, lo + step) for lo in range(0, trials, step)]
-
-
 def _steered_slices(array: AntennaArray, amplitudes: np.ndarray, vectors: np.ndarray):
-    """Each `_trial_slices` slice of a block's (T, M) amplitudes and (T, M, 3) vectors,
-    with its (t, M) amplitudes, a view, and their (t, N, M) `steering_matrix`."""
-    for part in _trial_slices(len(amplitudes), array.n_elements, amplitudes.shape[1]):
+    """Each slice of a block's (T, M) amplitudes and (T, M, 3) vectors, with its (t, M)
+    amplitudes, a view, and their (t, N, M) `steering_matrix`.
+
+    A block's streams and draws run whole; the stages after them run a `channel._slices`
+    slice of trials at a time, M max(M, N) entries of the (T, N, M) phasors or (T, M, M)
+    kernel per trial, so a block's memory stays bounded at every size the limits accept.
+    """
+    m = amplitudes.shape[1]
+    for part in _slices(len(amplitudes), m * max(m, array.n_elements)):
         yield part, amplitudes[part], steering_matrix(array, vectors[part])
 
 

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import steering_matrix
+from .channel import _slices
 # phase_matrix is not called here; imported only for perfbench/tracing.py to wrap.
 from .geometry import AntennaArray, FieldOfView, phase_matrix
 
 EULER_GAMMA = float(np.euler_gamma)
 
 _ESTIMATE_CHUNK = 1 << 15
-_ESTIMATE_SLICE = 1 << 20    # elements times pairs of one slice of a chunk's phasor arrays
 MAX_SAMPLES = 1 << 30        # most direction pairs of one estimate: refused before any draw
 
 # Composite Gauss-Legendre rule of `exact_array_parameter`: 32-node panels,
@@ -72,18 +72,16 @@ def estimate_array_parameter(array: AntennaArray, fov: FieldOfView, samples: int
     total = 0.0
     total_sq = 0.0
     done = 0
-    # a chunk's pairs fill its gains in slices of at most _ESTIMATE_SLICE phasors per side
-    width = max(1, _ESTIMATE_SLICE // array.n_elements)
     while done < samples:
         count = min(_ESTIMATE_CHUNK, samples - done)
         theta = fov.sample_angles(rng, 2 * count)
         vecs = fov.direction_at(theta)
         gain = np.empty(count)
-        for lo in range(0, count, width):
-            hi = min(lo + width, count)
-            probe = steering_matrix(array, vecs[lo:hi])                       # (N, hi - lo)
-            other = steering_matrix(array, vecs[count + lo:count + hi])
-            gain[lo:hi] = np.abs(np.sum(np.conj(other) * probe, axis=0)) ** 2
+        # a chunk's pairs fill its gains a slice at a time, N phasors per side of a pair
+        for part in _slices(count, array.n_elements):
+            probe = steering_matrix(array, vecs[part])                        # (N, pairs)
+            other = steering_matrix(array, vecs[count:][part])
+            gain[part] = np.abs(np.sum(np.conj(other) * probe, axis=0)) ** 2
         gain /= array.n_elements ** 2
         total += float(np.sum(gain))
         total_sq += float(np.sum(gain ** 2))

@@ -566,10 +566,15 @@ class TestPatternExport:
         strong_db = pattern_gain_db(w_strong, PLANAR_3X3, thetas)[0]
         assert strong_db > weak_db + 3.0
 
-    def test_many_angles_at_many_elements_in_bounded_memory(self):
-        # the (N, K) phases and phasors alone were 1.77 GB here; in slices of 2^15 // N = 8
-        # angles a call holds one slice's 0.75 MiB and the O(K) angle arrays, under 2.5 MB
-        arr, thetas = make_ula(4096, 0.5), np.linspace(-90.0, 90.0, 18_001)
+    # At N = 4096 the (N, K) phases and phasors alone were 1.77 GB; in slices of 2^15 // N = 8
+    # angles a call holds one slice's 0.75 MiB and the O(K) angle arrays, under 2.5 MB. At
+    # N = 8 the radians and the result are 2 float arrays of length K; building the (K, 3)
+    # directions and every gain whole took 8.06 of them.
+    @pytest.mark.parametrize("n,k,limit", [(4096, 18_001, 4 << 20),
+                                           (8, (1 << 18) + 1, 4 * 8 << 18)],
+                             ids=["n4096", "n8"])
+    def test_many_angles_at_many_elements_in_bounded_memory(self, n, k, limit):
+        arr, thetas = make_ula(n, 0.5), np.linspace(-90.0, 90.0, k)
         w = np.full(arr.n_elements, 1.0 / arr.n_elements, dtype=complex)
         pattern_gain_db(w, arr, thetas[:2])
         tracemalloc.start()
@@ -578,8 +583,9 @@ class TestPatternExport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
-        assert gains.shape == thetas.shape and gains[9000] == pytest.approx(0.0, abs=1e-12)
+        assert peak < limit
+        # uniform weights give 0 dB at broadside, the grid's middle point
+        assert gains.shape == thetas.shape and gains[k // 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_angle_slices_agree_with_one_matrix(self, monkeypatch):
         # 361 angles in slices of 8 leave a one-angle last slice, whose product rounds
@@ -587,7 +593,7 @@ class TestPatternExport:
         arr, thetas = make_ula(4096, 0.5), np.arange(-90.0, 90.5, 0.5)
         w = mrc_weights(_random_channel(6, seed=9), arr)
         sliced = pattern_gain_db(w, arr, thetas)
-        monkeypatch.setattr(mrcbeam.beams, "_KERNEL_SLICE", 1 << 40)
+        monkeypatch.setattr(mrcbeam.channel, "_KERNEL_SLICE", 1 << 40)
         np.testing.assert_allclose(sliced, pattern_gain_db(w, arr, thetas), rtol=0, atol=1e-12)
 
     def test_angle_array_shape_is_kept(self):

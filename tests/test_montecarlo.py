@@ -18,9 +18,10 @@ from mrcbeam import (ChannelRealization, ExperimentConfig, FieldOfView,
                      run_snr_sweep, sample_channel, single_direction_weights,
                      strongest_component, to_db, trial_rng)
 from mrcbeam.beams import steering_matrix
+from mrcbeam.channel import _slices
 from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, SweepResult, _band_block,
                                 _block_pools, _block_streams, _blockage_block,
-                                _effectiveness_block, _trial_slices, _words)
+                                _effectiveness_block, _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -506,14 +507,22 @@ def _peak_bytes(fn, *args) -> int:
 class TestTrialSlices:
     KERNELS = (_blockage_block, _effectiveness_block, _band_block)
 
+    # a block's trials hold M max(M, N) entries each; entries past the budget give one
+    # trial per slice
     @pytest.mark.parametrize("trials,n,m,step", [(256, 8, 20, 81), (256, 64, 128, 2),
                                                  (1, 8, 20, 81), (5, 4096, 4096, 1),
-                                                 (256, 1000, 2, 16)])
+                                                 (256, 1000, 2, 16), (3, 1 << 16, 1, 1)])
     def test_slices_cover_the_block_in_order(self, trials, n, m, step):
-        slices = _trial_slices(trials, n, m)
-        assert all(s.stop - s.start == step for s in slices)
+        slices = _slices(trials, m * max(m, n))
+        assert slices[-1].stop == trials and len(slices) == -(-trials // step)
+        assert all(s.stop - s.start == step for s in slices[:-1])
         assert np.array_equal(np.concatenate([np.arange(trials)[s] for s in slices]),
                               np.arange(trials))
+
+    @pytest.mark.parametrize("module", [mrcbeam.beams, mrcbeam.montecarlo, mrcbeam.theory])
+    def test_the_budget_has_one_owner(self, module):
+        # a by-value copy elsewhere would make patches of channel._KERNEL_SLICE test nothing
+        assert not hasattr(module, "_KERNEL_SLICE")
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_block_memory_is_bounded_at_many_elements_and_paths(self, kernel):
@@ -525,10 +534,11 @@ class TestTrialSlices:
     def test_one_trial_slices_match_one_whole_slice(self, monkeypatch):
         cfg = ExperimentConfig(n_elements=8, m_values=(20,), trials=300, freq_points=64, seed=3)
         block = (20, 44, 300)
-        monkeypatch.setattr(mrcbeam.montecarlo, "_KERNEL_SLICE", 1 << 40)
+        monkeypatch.setattr(mrcbeam.channel, "_KERNEL_SLICE", 1 << 40)
         whole = [kernel(cfg, block) for kernel in self.KERNELS]
-        monkeypatch.setattr(mrcbeam.montecarlo, "_KERNEL_SLICE", 1)
-        assert len(_trial_slices(256, 8, 20)) == 256
+        # one trial per slice, and one row of band_power's kernel per slice
+        monkeypatch.setattr(mrcbeam.channel, "_KERNEL_SLICE", 1)
+        assert len(_slices(256, 20 * 20)) == 256 and len(_slices(20, 20)) == 20
         blockage, effectiveness, band = (kernel(cfg, block) for kernel in self.KERNELS)
         # band_power's row slices follow the trial slice, so its sums may round apart
         np.testing.assert_allclose(blockage, whole[0], rtol=1e-13, atol=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import mrcbeam.channel
 from mrcbeam import (EULER_GAMMA, AntennaArray, FieldOfView,
                      conditional_ineffectiveness, effective_count,
                      estimate_array_parameter, exact_array_parameter, harmonic_number,
@@ -142,7 +143,7 @@ class TestEstimateArrayParameter:
         # a chunk's gains fill in column slices; the slice width changes no value
         arr, rng_seed = make_ula(8, 0.5), 6
         whole = estimate_array_parameter(arr, FOV180, 3000, np.random.default_rng(rng_seed))
-        monkeypatch.setattr(theory, "_ESTIMATE_SLICE", 8 * 7)
+        monkeypatch.setattr(mrcbeam.channel, "_KERNEL_SLICE", 8 * 7)
         sliced = estimate_array_parameter(arr, FOV180, 3000, np.random.default_rng(rng_seed))
         assert (sliced.s, sliced.stderr) == (whole.s, whole.stderr)
 
