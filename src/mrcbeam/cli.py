@@ -8,6 +8,7 @@ fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -273,6 +274,11 @@ _COMMANDS = {"array-param": _cmd_array_param, "beam-pattern": _cmd_beam_pattern,
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. Run as the program (``argv`` None), it
+    first freezes the heap its imports left, so that no collection, the one at exit
+    included, walks it again; a call with an argument list leaves the caller's heap alone."""
+    if argv is None:
+        gc.freeze()
     args = parse_args(argv)
     try:
         _COMMANDS[args.command](args)

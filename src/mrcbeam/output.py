@@ -17,10 +17,10 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .channel import _slices
 from .montecarlo import ExperimentConfig, SweepResult
 
 _FREQ_UNITS = {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_ROW_CHUNK = 4096            # array rows turned into Python values at a time
 # effectiveness quantity -> its (theory, empirical, stderr) columns
 _EFFECTIVENESS_KEYS = {
     "ineffectiveness": ("p_ineff_theory", "p_ineff_empirical", "p_ineff_stderr"),
@@ -63,10 +63,11 @@ def write_json(payload: dict, path: str | None) -> None:
 
 
 def array_rows(*columns: np.ndarray) -> Iterator[tuple]:
-    """Rows of equal-length 1-D arrays as Python values, converted `_ROW_CHUNK` rows
-    at a time, so that no list of every row is held."""
-    for lo in range(0, len(columns[0]), _ROW_CHUNK):
-        yield from zip(*(column[lo:lo + _ROW_CHUNK].tolist() for column in columns))
+    """Rows of equal-length 1-D arrays as Python values, converted a `channel._slices`
+    slice of rows at a time, one entry per column each, so that no list of every row
+    is held."""
+    for part in _slices(len(columns[0]), len(columns)):
+        yield from zip(*(column[part].tolist() for column in columns))
 
 
 def json_stderr(value: float, samples: int) -> float | None:

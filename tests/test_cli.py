@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 import os
 import subprocess
@@ -100,8 +101,8 @@ class TestCsvWriter:
         assert path.read_text() == "m,theory,empirical,stderr\n"
 
     def test_array_rows_cross_chunks(self, tmp_path):
-        # rows stream from the arrays a chunk at a time, as Python floats
-        x = np.linspace(-1.0, 1.0, 2 * output._ROW_CHUNK + 3)
+        # rows stream from the arrays a slice of rows at a time, as Python floats
+        x = np.linspace(-1.0, 1.0, 2 * (mrcbeam.channel._KERNEL_SLICE // 2) + 3)
         path = tmp_path / "rows.csv"
         write_csv(["x", "y"], output.array_rows(x, x / 3), str(path))
         assert path.read_text() == "x,y\n" + "".join(f"{v!r},{v / 3!r}\n" for v in x.tolist())
@@ -405,21 +406,58 @@ def test_public_names_resolve():
     assert all(hasattr(mrcbeam, name) and name in namespace for name in mrcbeam.__all__)
 
 
-def test_cli_import_starts_no_multiprocessing():
+def _program_env() -> dict:
+    """The environment, with this checkout's sources first on the import path."""
     src = str(Path(mrcbeam.__file__).resolve().parents[1])
-    code = "import sys, mrcbeam.cli; sys.exit('multiprocessing' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_starts_no_multiprocessing():
+    code = "import sys, mrcbeam.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                          timeout=60).returncode == 0
 
 
 def test_cli_import_imports_no_hashlib():
     # only JSON output hashes the config; hashlib's import cost every --help about 4 ms
-    src = str(Path(mrcbeam.__file__).resolve().parents[1])
     code = "import sys, mrcbeam.cli; sys.exit('hashlib' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                          timeout=60).returncode == 0
+
+
+class TestHeapFreeze:
+    """Run as the program, the CLI freezes its import-time heap; called in process, never."""
+
+    def test_in_process_main_leaves_the_freeze_count(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["dump-channel", "--output", str(tmp_path / "ch.json")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_program_main_freezes(self, tmp_path):
+        argv = ["mrcbeam", "dump-channel", "--output", str(tmp_path / "ch.json")]
+        code = (f"import gc, sys\nfrom mrcbeam.cli import main\nsys.argv = {argv!r}\n"
+                "code = main()\nsys.exit(code if gc.get_freeze_count() > 0 else 3)\n")
+        assert subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                              timeout=60).returncode == 0
+        assert channel_from_json(json.loads((tmp_path / "ch.json").read_text())).m_paths == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["ineffectiveness", "--elements", "4", "--m-max", "3", "--trials", "20"],
+        ["effective-components", "--elements", "4", "--m-max", "3", "--trials", "20",
+         "--format", "json"],
+        ["snr-sweep", "--elements", "4", "--m-max", "3", "--trials", "10",
+         "--freq-points", "16"],
+        ["blockage-cdf", "--elements", "4", "--m-paths", "3", "--trials", "20",
+         "--freq-points", "16"],
+    ])
+    def test_program_bytes_equal_in_process_bytes(self, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out.encode()
+        run = subprocess.run([sys.executable, "-m", "mrcbeam.cli", *argv], env=_program_env(),
+                             capture_output=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == in_process
 
 
 def _refuse_constant(name):
