@@ -15,6 +15,8 @@ from .channel import ChannelRealization, _slices, tone_sum
 from .geometry import AntennaArray, FieldOfView, as_directions, phase_matrix
 
 _GAIN_FLOOR = 1e-30          # power gain `pattern_gain_db` clamps pattern nulls to
+_TWO_PI = 2 * (np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16))   # pi - fl(pi)
+_POWER_SPACING = 2.0 ** 20   # widest line spacing, in wavelengths, steered by powers
 
 
 def mrc_weights(channel: ChannelRealization, array: AntennaArray) -> np.ndarray:
@@ -84,13 +86,41 @@ def steering_matrix(array: AntennaArray, unit_vectors: np.ndarray) -> np.ndarray
     """(..., N, M) plane-wave phasors e^{j phase} of (..., M, 3) unit vectors: the one
     place mrcbeam builds them.
 
-    Built as cos + j sin into one complex array, with no complex temporary; on the
-    builds tried this is bit for bit the complex ``np.exp`` of j times the phase.
+    On a line array of N >= 2 elements at spacing |d| <= 2^20 wavelengths
+    (`AntennaArray.ula_spacing`), row n is z^n, z = e^{j phi}, phi = 2 pi d k_x, from one
+    cos and one sin per direction: rows [f, 2f) are rows [0, f) times z^f, and z^{2f} is
+    z^f squared, so the N rows take log2 N complex products. With cos and sin within one
+    unit in the last place, entry n is within n (2.6 eps + 1.5 eps_L |phi|) of
+    e^{j n phi}, eps_L being np.longdouble's eps: sqrt(5) eps / 2 per product, and
+    sqrt(2) eps + 1.5 eps_L |phi| for z. Any other array, one element or a wider spacing
+    takes cos + j sin of `phase_matrix`, into one complex array with no complex
+    temporary; on the builds tried this is bit for bit the complex ``np.exp`` of j times
+    the phase.
     """
-    phases = phase_matrix(array, unit_vectors)
-    out = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=out.real)
-    np.sin(phases, out=out.imag)
+    vectors = np.asarray(unit_vectors, dtype=float)
+    spacing, n = array.ula_spacing, array.n_elements
+    if spacing is None or n < 2 or abs(spacing) > _POWER_SPACING:
+        phases = phase_matrix(array, vectors)
+        out = np.empty(phases.shape, dtype=complex)
+        np.cos(phases, out=out.real)
+        np.sin(phases, out=out.imag)
+        return out
+    phase = (_TWO_PI * spacing) * vectors[..., 0].astype(np.longdouble)
+    coarse = phase.astype(float)
+    out = np.empty(phase.shape[:-1] + (n,) + phase.shape[-1:], dtype=complex)
+    out[..., 0, :] = 1.0
+    power = out[..., 1, :]
+    np.cos(coarse, out=power.real)
+    np.sin(coarse, out=power.imag)
+    # z^n multiplies an error in z's phase by n, and phi rounded to float64 is off by up
+    # to 1.5 eps |phi|. Turning z by the rest r of the long-double phi, which float64
+    # drops, leaves z within one rounding of cos and sin: at |d| <= 2^20, r is below 1e-9
+    # and 1 + j r is e^{j r} to 1e-18.
+    power += power * (1j * (phase - coarse).astype(float))
+    power = power[..., None, :].copy()                          # z^f, f = 1, 2, 4, ...
+    for f in (1 << k for k in range(1, (n - 1).bit_length())):
+        power *= power
+        np.multiply(out[..., :min(f, n - f), :], power, out=out[..., f:2 * f, :])
     return out
 
 

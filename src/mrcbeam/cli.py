@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -274,7 +275,8 @@ _COMMANDS = {"array-param": _cmd_array_param, "beam-pattern": _cmd_beam_pattern,
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code. Run as the program (``argv`` None), it
+    """Run one command and return its exit code: 0, 1 after one error line, or 141 when
+    the reader of standard output closes it early. Run as the program (``argv`` None), it
     first freezes the heap its imports left, so that no collection, the one at exit
     included, walks it again; a call with an argument list leaves the caller's heap alone."""
     if argv is None:
@@ -282,6 +284,12 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         _COMMANDS[args.command](args)
+        sys.stdout.flush()                  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader stopped reading, as `head` does: stop quietly with the shell's code
+        # for SIGPIPE, standard output pointed at devnull so that the exit's flush is too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"mrcbeam: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

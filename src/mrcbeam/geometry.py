@@ -8,7 +8,7 @@ in the phase computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,21 +46,43 @@ def normalize(vec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AntennaArray:
-    """A set of antenna element positions, in wavelength units."""
+    """A set of antenna element positions, in wavelength units.
+
+    The constructor copies the positions and makes them read-only, so later writes to
+    the caller's array reach neither the positions nor ``ula_spacing``, worked out once
+    here: the spacing d when element n sits exactly at (n d, 0, 0), as `make_ula` puts
+    it (0.0 for one element), and None for any other array.
+    """
 
     positions: np.ndarray
+    ula_spacing: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        pos = np.atleast_2d(np.array(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise ValueError(f"positions must be an (N, 3) array with N >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("element positions must be finite")
+        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "ula_spacing", _ula_spacing(pos))
+
+    def __reduce__(self):
+        # pickling and copying rebuild through the constructor, read-only again
+        return type(self), (self.positions,)
 
     @property
     def n_elements(self) -> int:
         return self.positions.shape[0]
+
+
+def _ula_spacing(pos: np.ndarray) -> float | None:
+    """The spacing d when row n of the (N, 3) positions is exactly (n d, 0, 0); None
+    for any other array."""
+    spacing = pos[1, 0] if len(pos) > 1 else 0.0
+    if not pos[:, 1:].any() and np.array_equal(pos[:, 0], np.arange(len(pos)) * spacing):
+        return float(spacing)
+    return None
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,22 @@ MAX_SAMPLES = 1 << 30        # most direction pairs of one estimate: refused bef
 # each spanning at most 32 radians of the integrand's phase. A panel still
 # integrates 64 radians to rounding and fails at 80, so this leaves a
 # factor of two.
-_PANEL_NODES = 32
 _PANEL_PHASE = 32.0
+# The 32-node Gauss-Legendre rule on [-1, 1], bit for bit numpy's `leggauss(32)`, whose
+# nodes are antisymmetric and weights symmetric: its positive half, tabulated so that no
+# run imports numpy.polynomial (about 5 ms).
+_HALF_NODES = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816])
+_HALF_WEIGHTS = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506])
+_GAUSS_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+_GAUSS_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 _MAX_PANELS = 1 << 14        # bounds the work: about 0.5M nodes
 _PANEL_BLOCK = 128           # panels evaluated at once, which bounds the memory
 _CONFIRM_REL = 1e-13
@@ -116,7 +130,7 @@ def exact_array_parameter(array: AntennaArray, fov: FieldOfView) -> float:
         raise ValueError(f"array extent of {extent:g} wavelengths is too wide for the "
                          f"exact array parameter")
     panels = max(1, math.ceil(need))
-    spacing = _ula_spacing(array)
+    spacing = array.ula_spacing
     if spacing is None:
         s, finer = (_array_parameter_by_panels(array, fov, p) for p in (panels, 2 * panels))
     else:
@@ -131,12 +145,11 @@ def exact_array_parameter(array: AntennaArray, fov: FieldOfView) -> float:
 def _panel_nodes(fov: FieldOfView, panels: int):
     """Nodes theta and weights w of ``panels`` equal 32-node Gauss-Legendre panels over
     the field of view, `_PANEL_BLOCK` panels at a time; w is the uniform angle density's."""
-    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
     width = 2.0 * fov.half_angle / panels
-    weights = weights / (2 * panels)
+    weights = _GAUSS_WEIGHTS / (2 * panels)
     for lo in range(0, panels, _PANEL_BLOCK):
         starts = -fov.half_angle + width * np.arange(lo, min(lo + _PANEL_BLOCK, panels))
-        yield (np.add.outer(starts, width * (nodes + 1.0) / 2.0).ravel(),
+        yield (np.add.outer(starts, width * (_GAUSS_NODES + 1.0) / 2.0).ravel(),
                np.tile(weights, starts.size))
 
 
@@ -153,16 +166,6 @@ def _array_parameter_by_panels(array: AntennaArray, fov: FieldOfView, panels: in
         a = steering_matrix(array, fov.direction_at(theta))             # (N, Q)
         phi += (a * w) @ a.conj().T
     return float(np.sum(phi.real ** 2 + phi.imag ** 2)) / n ** 2
-
-
-def _ula_spacing(array: AntennaArray) -> float | None:
-    """The spacing d when element n sits exactly at (n d, 0, 0), as `make_ula` puts it;
-    None for any other array."""
-    pos = array.positions
-    spacing = pos[1, 0] if array.n_elements > 1 else 0.0
-    if not pos[:, 1:].any() and np.array_equal(pos[:, 0], np.arange(array.n_elements) * spacing):
-        return float(spacing)
-    return None
 
 
 def _array_parameter_by_lags(n: int, spacing: float, fov: FieldOfView, panels: int) -> float:

@@ -25,12 +25,19 @@ from mrcbeam import ExperimentConfig, sample_channel, trial_rng
 
 LD, CLD = np.longdouble, np.clongdouble
 TWO_PI = 2 * np.arccos(LD(-1))
-NS, MS, FS = (1, 2, 3, 8, 33), (1, 2, 7, 40), (2, 3, 1024)
+NS, MS, FS = (1, 2, 3, 8, 33, 64), (1, 2, 7, 40), (2, 3, 1024)
 MARGIN = 1e-10         # effectiveness decided closer than this, relative, may go either way
 
 
 def _phasors(phases: np.ndarray) -> np.ndarray:
     return np.cos(phases) + 1j * np.sin(phases)
+
+
+def line_phasors(n: int, spacing: float, vectors: np.ndarray) -> np.ndarray:
+    """(..., N, M) phasors cos(2 pi p_n . k) + j sin(2 pi p_n . k) of (..., M, 3) unit
+    vectors at a line of ``n`` elements, element n at (n d, 0, 0), in np.clongdouble."""
+    kx = np.asarray(vectors)[..., None, :, 0].astype(LD)                  # (..., 1, M)
+    return _phasors(TWO_PI * (np.arange(n, dtype=LD) * LD(spacing))[:, None] * kx)
 
 
 class Trial:
@@ -43,9 +50,7 @@ class Trial:
         channel = sample_channel(m, cfg.fov(), cfg.delay_max_s, rng)
         self.blocked = int(rng.integers(m))                 # the blockage draw comes next
         n = cfg.n_elements
-        positions = np.zeros((n, 3), dtype=LD)
-        positions[:, 0] = np.arange(n) * LD(cfg.spacing_wavelengths)
-        steering = _phasors(TWO_PI * (positions @ channel.direction_matrix().T.astype(LD)))
+        steering = line_phasors(n, cfg.spacing_wavelengths, channel.direction_matrix())
         self.a = channel.amplitudes().astype(CLD)
         strongest = int(np.argmax(np.abs(self.a)))
         self.weights = np.stack([(steering @ self.a).conj(), steering[:, strongest].conj()]) / n
@@ -72,11 +77,12 @@ class Trial:
         return (response.real ** 2 + response.imag ** 2).mean(-1) / noise
 
 
-def sweep(count: int = 30, seed: int = 20240528) -> list[ExperimentConfig]:
-    """``count`` seeded configurations, one path count each. Every pair of values of N, M
-    and F appears within the first 30; a third of the configurations run 257 to 300 trials,
-    which crosses a 256-trial block, and F = 1024 runs few trials, its tones being the
-    oracle's largest cost.
+def sweep(count: int = 36, seed: int = 20240528) -> list[ExperimentConfig]:
+    """``count`` seeded configurations, one path count each. Configuration i takes N from
+    index i mod 6, M from (i div 6) mod 4 and F from the sum of those two indices mod 3,
+    so the first 24 hold every pair of values of N, M and F. A third of the configurations
+    run 257 to 300 trials, which crosses a 256-trial block, and F = 1024 runs few trials,
+    its tones being the oracle's largest cost.
 
     Delay spreads stay at 10 and 100 ns. At F = 2 the tones are B apart, so a pair of
     paths 1 us apart at B = 1 GHz is pi B dtau = 3,100 rad out of phase, and rounding
@@ -85,13 +91,14 @@ def sweep(count: int = 30, seed: int = 20240528) -> list[ExperimentConfig]:
     rng = np.random.default_rng(seed)
     configs = []
     for i in range(count):
-        f = FS[i % 3]
+        n, m = i % 6, i // 6 % 4
+        f = FS[(n + m) % 3]
         if f == 1024:
             trials = int(rng.integers(1, 9))
         else:
-            trials = int(rng.integers(257, 301) if i % 2 == 0 else rng.integers(1, 41))
+            trials = int(rng.integers(257, 301) if i % 4 < 2 else rng.integers(1, 41))
         configs.append(ExperimentConfig(
-            n_elements=NS[i % 5], m_values=(MS[i % 4],), freq_points=f, trials=trials,
+            n_elements=NS[n], m_values=(MS[m],), freq_points=f, trials=trials,
             spacing_wavelengths=float(rng.choice([0.5, 1.0, 2.0])),
             fov_deg=float(rng.choice([0.0, 60.0, 180.0])),
             delay_max_ns=float(rng.choice([10.0, 100.0])),

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracle
 import mrcbeam.beams
 import mrcbeam.channel
 from mrcbeam import (AntennaArray, ChannelRealization, FieldOfView,
@@ -372,6 +373,26 @@ class TestCombinedResponse:
             assert abs(got) == pytest.approx(abs(alpha), rel=1e-12)
 
 
+def _assert_within_the_power_bound(n, spacing, vecs):
+    """Entry n of ``make_ula(n, spacing)``'s phasors, built as z^n, is within
+    n (2.6 eps + 1.5 eps_L |phi|) of e^{j n phi}, phi = 2 pi d k_x, in long double.
+
+    Derived to first order in eps, with u = eps / 2: a complex product of float64s is
+    within sqrt(5) u relative; z^{2f} squares z^f, so z^f is within (f - 1) sqrt(5) u
+    of z^f exactly multiplied, and row n, a product of the powers of two of n's bits,
+    within n sqrt(5) u. z itself is cos and sin of phi rounded to float64 (one unit in
+    the last place each), turned by the rest of the long-double phi in one more rounding
+    per component: within sqrt(2) eps of e^{j phi'}, phi' the long-double phi, itself
+    within 3 eps_L / 2 |phi| of phi. z^n multiplies z's error by n."""
+    eps, eps_l = np.finfo(float).eps, np.finfo(np.longdouble).eps
+    phi = np.abs(2 * np.pi * spacing * vecs[..., None, :, 0])
+    bound = np.arange(n)[:, None] * (2.6 * eps + 1.5 * eps_l * phi)
+    err = np.abs(steering_matrix(make_ula(n, spacing), vecs)
+                 - oracle.line_phasors(n, spacing, vecs))
+    assert np.all(err <= bound)
+    assert np.all(err[..., 0, :] == 0)
+
+
 class TestSteeringMatrix:
     def test_every_phasor_is_built_from_beams_phase_matrix(self, monkeypatch):
         # the per-antenna response and both array-parameter forms steer through
@@ -392,10 +413,28 @@ class TestSteeringMatrix:
             assert calls
 
     def test_matches_the_complex_exponential(self):
+        # a line array's phasors, built by powers, against the exponential in long double
+        # within their rounding bound; any other array's, cos + j sin of phase_matrix,
+        # against np.exp of the same phases
         vecs = FOV180.direction_at(np.linspace(-1.5, 1.5, 101))
-        for arr in (make_ula(64, 0.5), PLANAR_3X3):
-            np.testing.assert_allclose(steering_matrix(arr, vecs),
-                                       np.exp(1j * phase_matrix(arr, vecs)), rtol=0, atol=1e-15)
+        _assert_within_the_power_bound(64, 0.5, vecs)
+        np.testing.assert_allclose(steering_matrix(PLANAR_3X3, vecs),
+                                   np.exp(1j * phase_matrix(PLANAR_3X3, vecs)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n,spacing", [(1024, 0.5), (4096, 0.5), (1024, 2.0)])
+    def test_large_line_arrays_within_the_power_bound(self, n, spacing):
+        vecs = FOV180.direction_at(np.linspace(-1.5, 1.5, 64))
+        _assert_within_the_power_bound(n, spacing, vecs)
+
+    def test_single_element_is_all_ones(self):
+        vecs = FOV180.direction_at(np.linspace(-1.5, 1.5, 101))
+        assert np.array_equal(steering_matrix(make_ula(1, 0.5), vecs), np.ones((1, 101)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16, 17])
+    def test_every_row_of_a_stack_is_its_power(self, n):
+        # stacked (T, M, 3) directions at sizes around powers of two
+        vecs = FOV180.direction_at(np.random.default_rng(n).uniform(-1.5, 1.5, (4, 3)))
+        _assert_within_the_power_bound(n, 1.0, vecs)
 
     def test_per_antenna_response_lives_in_beams(self):
         assert mrcbeam.per_antenna_response is mrcbeam.beams.per_antenna_response
@@ -433,8 +472,7 @@ class TestCombinedResponseGrid:
         ch = _random_channel(5, seed=23)
         w = mrc_weights(ch, arr)
         for f in (0.0, -0.0, 1.3e8):
-            tone = (w @ np.exp(1j * phase_matrix(arr, ch.direction_matrix()))
-                    * ch.amplitudes())
+            tone = w @ steering_matrix(arr, ch.direction_matrix()) * ch.amplitudes()
             assert combined_response(w, ch, arr, f) == complex(
                 tone @ np.exp(-2j * np.pi * f * ch.delays()))
 

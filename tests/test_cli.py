@@ -426,6 +426,32 @@ def test_cli_import_imports_no_hashlib():
                           timeout=60).returncode == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["snr-sweep", "--elements", "4", "--m-max", "3", "--trials", "4", "--freq-points", "16"],
+    ["ineffectiveness", "--elements", "4", "--m-max", "3", "--trials", "4"],
+])
+def test_experiment_run_imports_no_numpy_polynomial(argv, tmp_path):
+    # the exact array parameter's Gauss-Legendre rule is tabulated, not built by leggauss
+    code = ("import sys\nfrom mrcbeam.cli import main\n"
+            f"assert main({argv + ['--output', str(tmp_path / 'out.csv')]!r}) == 0\n"
+            "sys.exit(3 if 'numpy.polynomial' in sys.modules else 0)")
+    assert subprocess.run([sys.executable, "-c", code], env=_program_env(),
+                          timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_stops_quietly(unbuffered):
+    # 20,001 rows overfill the pipe, so writing still goes on when the reader closes it
+    argv = ["blockage-cdf", "--elements", "2", "--m-paths", "2", "--trials", "10000"]
+    env = dict(_program_env(), PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen([sys.executable, "-m", "mrcbeam.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"beam_kind,snr_db\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
 class TestHeapFreeze:
     """Run as the program, the CLI freezes its import-time heap; called in process, never."""
 

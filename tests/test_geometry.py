@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -87,6 +89,34 @@ class TestMakeUla:
     def test_non_finite_positions_rejected(self):
         with pytest.raises(ValueError):
             AntennaArray(np.array([[np.nan, 0.0, 0.0]]))
+
+
+class TestAntennaArray:
+    def test_positions_are_a_read_only_copy(self):
+        p = np.zeros((3, 3))
+        p[:, 0] = [0.0, 0.5, 1.0]
+        arr = AntennaArray(p)
+        p[2, 0] = 9.0
+        assert arr.positions[2, 0] == 1.0 and arr.ula_spacing == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            arr.positions[2, 0] = 9.0
+
+    def test_copies_stay_read_only(self):
+        arr = make_ula(4, 0.5)
+        for clone in (pickle.loads(pickle.dumps(arr)), copy.copy(arr), copy.deepcopy(arr)):
+            assert not clone.positions.flags.writeable
+            assert np.array_equal(clone.positions, arr.positions)
+            assert clone.ula_spacing == 0.5
+
+    def test_ula_spacing_only_for_an_exact_line(self):
+        line = make_ula(5, 0.5)
+        assert line.ula_spacing == 0.5
+        assert make_ula(1, 0.5).ula_spacing == 0.0
+        nudged = line.positions.copy()
+        nudged[-1, 0] += 1e-12
+        for positions in (line.positions[::-1], line.positions + [0.25, 0.0, 0.0],
+                          line.positions + [0.0, 0.0, 1e-9], nudged):
+            assert AntennaArray(positions).ula_spacing is None
 
 
 class TestElementPhase:

@@ -156,6 +156,11 @@ class TestExactArrayParameter:
         got = exact_array_parameter(make_ula(n, 0.5), FieldOfView.from_degrees(fov_deg))
         assert got == pytest.approx(oracle, rel=1e-12, abs=0)
 
+    def test_tabulated_rule_is_numpys_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert theory._GAUSS_NODES.tobytes() == nodes.tobytes()
+        assert theory._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_single_element_and_single_direction_are_exactly_one(self):
         assert exact_array_parameter(make_ula(1, 0.5), FOV180) == 1.0
         assert exact_array_parameter(make_ula(8, 0.5), FieldOfView(0.0)) == 1.0
@@ -219,18 +224,18 @@ class TestExactArrayParameter:
         got = theory._array_parameter_by_lags(n, 0.5, fov, panels)
         assert abs(ld(got) - oracle) <= 2 * n * np.finfo(float).eps * oracle
 
-    def test_only_an_exact_line_takes_the_lag_form(self):
+    def test_only_an_exact_line_takes_the_lag_form(self, monkeypatch):
+        # which arrays are exact lines is tested on AntennaArray.ula_spacing
         line = make_ula(5, 0.5)
-        assert theory._ula_spacing(line) == 0.5
-        assert theory._ula_spacing(make_ula(1, 0.5)) == 0.0
         nudged = line.positions.copy()
         nudged[-1, 0] += 1e-12
-        for positions in (line.positions[::-1], line.positions + [0.25, 0.0, 0.0],
-                          line.positions + [0.0, 0.0, 1e-9], nudged):
-            assert theory._ula_spacing(AntennaArray(positions)) is None
+        by_lags, lines = theory._array_parameter_by_lags, []
+        monkeypatch.setattr(theory, "_array_parameter_by_lags",
+                            lambda *args: lines.append(args[:2]) or by_lags(*args))
         # any other array keeps the sum over every pair
         assert exact_array_parameter(AntennaArray(nudged), FOV180) == pytest.approx(
             exact_array_parameter(line, FOV180), rel=1e-9)
+        assert lines == [(5, 0.5), (5, 0.5)]
 
     def test_too_wide_array_rejected(self):
         with pytest.raises(ValueError, match="too wide"):
