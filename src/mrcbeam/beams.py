@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelRealization, _slices, tone_sum
-from .geometry import AntennaArray, FieldOfView, as_directions, phase_matrix
+from .geometry import AntennaArray, FieldOfView, _integer, as_directions, phase_matrix
 
 _GAIN_FLOOR = 1e-30          # power gain `pattern_gain_db` clamps pattern nulls to
 _TWO_PI = 2 * (np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16))   # pi - fl(pi)
@@ -154,6 +154,7 @@ def interference_term(channel: ChannelRealization, array: AntennaArray, h: int) 
 
     The full array factor at that direction is conj(alpha_h) plus this term.
     """
+    h = _integer("h", h)
     if not 0 <= h < channel.m_paths:
         raise ValueError(f"component index {h} out of range for M={channel.m_paths}")
     return complex(cross_beam_interference(

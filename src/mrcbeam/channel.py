@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
 # phase_matrix is not called here; imported only for perfbench/tracing.py to wrap.
-from .geometry import FieldOfView, as_directions, normalize, phase_matrix
+from .geometry import FieldOfView, _integer, as_directions, normalize, phase_matrix
 
 _JSON_FIELDS = ("re", "im", "kx", "ky", "kz", "delay_ns")
 _SQRT2 = np.sqrt(2.0)
@@ -99,6 +98,7 @@ def sample_channel(m_paths: int, fov: FieldOfView, delay_max: float, rng):
     Generators gives the raw (T, M) complex amplitudes, (T, M, 3) unit arrival
     vectors and (T, M) delays, row t exactly what stream t alone would draw.
     """
+    m_paths = _integer("m_paths", m_paths)
     if m_paths < 1:
         raise ValueError(f"m_paths must be >= 1, got {m_paths}")
     if not 0 < delay_max < math.inf:
@@ -187,7 +187,7 @@ class EvenGrid:
 def even_grid(lo: float, hi: float, n: int) -> EvenGrid:
     """The grid ``np.linspace(lo, hi, n)`` as an `EvenGrid`, for a finite span and n >= 2;
     built once per distinct grid, and a zero end keeps its sign."""
-    lo, hi, n = float(lo), float(hi), operator.index(n)
+    lo, hi, n = float(lo), float(hi), _integer("n", n)
     if not math.isfinite(hi - lo) or n < 2:      # also rejects non-finite ends
         raise ValueError(f"an even grid needs a finite span and >= 2 points, got {lo}, {hi}, {n}")
     # the signs keep -0.0 and 0.0 apart, which compare and hash equal
@@ -267,11 +267,9 @@ def remove_component(channel: ChannelRealization, index: int) -> ChannelRealizat
     """Channel with component ``index`` deleted, e.g. a blocked path.
 
     Requires at least two components: removing the only path would leave
-    an empty channel. ``index`` must be an integer; booleans are refused.
+    an empty channel.
     """
-    if isinstance(index, (bool, np.bool_)):
-        raise TypeError(f"component index must be an integer, got {index!r}")
-    index = operator.index(index)
+    index = _integer("index", index)
     if channel.m_paths < 2:
         raise ValueError("cannot remove a component from a single-path channel")
     if not 0 <= index < channel.m_paths:

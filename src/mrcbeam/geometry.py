@@ -8,6 +8,7 @@ in the phase computations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,16 @@ import numpy as np
 _UNIT_TOL = 1e-12
 MAX_ELEMENTS = 4096    # largest `make_ula` array: refused before anything is allocated
 _UNIT_X, _UNIT_Y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; refuses a bool, a float or any other non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)                # numpy integers too
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_directions(vectors, ndim: int = 1) -> np.ndarray:
@@ -44,18 +55,19 @@ def normalize(vec) -> np.ndarray:
     return as_directions(vec / np.linalg.norm(vec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntennaArray:
     """A set of antenna element positions, in wavelength units.
 
     The constructor copies the positions and makes them read-only, so later writes to
     the caller's array reach neither the positions nor ``ula_spacing``, worked out once
     here: the spacing d when element n sits exactly at (n d, 0, 0), as `make_ula` puts
-    it (0.0 for one element), and None for any other array.
+    it (0.0 for one element), and None for any other array. ``==`` and ``hash`` are
+    identity; compare positions with ``np.array_equal``.
     """
 
     positions: np.ndarray
-    ula_spacing: float | None = field(init=False, repr=False, compare=False)
+    ula_spacing: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.array(self.positions, dtype=float))
@@ -103,7 +115,9 @@ class FieldOfView:
 
     @classmethod
     def from_degrees(cls, fov_deg: float) -> "FieldOfView":
-        """Build from a total opening angle in degrees (e.g. 180 -> +/-90)."""
+        """Build from a total opening angle in degrees (e.g. 180 -> +/-90), in [0, 180]."""
+        if not 0.0 <= fov_deg <= 180.0:                 # also refuses NaN
+            raise ValueError(f"fov_deg must be in [0, 180] degrees, got {fov_deg}")
         return cls(half_angle=np.radians(fov_deg) / 2.0)
 
     def direction_at(self, theta) -> np.ndarray:
@@ -126,13 +140,14 @@ def make_ula(n_elements: int, spacing_wavelengths: float) -> AntennaArray:
     Element i sits at (i * spacing, 0, 0); broadside is +y. At most
     `MAX_ELEMENTS` elements.
     """
+    n_elements = _integer("n_elements", n_elements)
     if not 1 <= n_elements <= MAX_ELEMENTS:
         raise ValueError(f"n_elements must be in [1, {MAX_ELEMENTS}], got {n_elements}")
     spacing = float(spacing_wavelengths)
     if not 0 < spacing < math.inf:
         raise ValueError(f"spacing must be positive and finite, got {spacing_wavelengths}")
     # the phases 2 pi p.k reach 2 pi times the aperture, which must stay finite
-    if not math.isfinite(2.0 * math.pi * spacing * (int(n_elements) - 1)):
+    if not math.isfinite(2.0 * math.pi * spacing * (n_elements - 1)):
         raise ValueError(f"array aperture {spacing_wavelengths} * {n_elements - 1} "
                          f"wavelengths is too large")
     pos = np.zeros((n_elements, 3))

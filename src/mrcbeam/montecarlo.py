@@ -23,10 +23,9 @@ from .beams import (combined_response, cross_beam_interference, design_beams, mr
                     strongest_component)
 from .channel import (ChannelRealization, _slices, band_power, even_grid, remove_component,
                       sample_channel)
-from .geometry import AntennaArray, FieldOfView, make_ula
-from .theory import (_integer, effective_count, estimate_array_parameter,
-                     exact_array_parameter, ineffectiveness_probability,
-                     snr_mrc_theory, snr_single_theory, to_db)
+from .geometry import AntennaArray, FieldOfView, _integer, make_ula
+from .theory import (effective_count, estimate_array_parameter, exact_array_parameter,
+                     ineffectiveness_probability, snr_mrc_theory, snr_single_theory, to_db)
 
 _TRIAL_BLOCK = 256
 # size limits of an experiment and of the CLI flags that set them, checked before anything
@@ -125,13 +124,13 @@ class SweepResult:
 def trial_rng(seed: int, trial_index) -> np.random.Generator:
     """Independent random stream for one unit of work.
 
-    ``trial_index`` is an integer or a tuple of non-negative integers
+    ``trial_index`` is an integer or a sequence of non-negative integers
     naming the work item; the same (seed, index) always reproduces the
     same draws, distinct indices give independent streams.
     """
-    if isinstance(trial_index, (int, np.integer)):
-        trial_index = (int(trial_index),)
-    return np.random.default_rng([seed % (1 << 64), *map(int, trial_index)])
+    index = (trial_index,) if np.ndim(trial_index) == 0 else trial_index
+    return np.random.default_rng([_integer("seed", seed) % (1 << 64),
+                                  *(_integer("trial_index", i) for i in index)])
 
 
 def band_average_gain(weights: np.ndarray, channel: ChannelRealization,
@@ -141,6 +140,7 @@ def band_average_gain(weights: np.ndarray, channel: ChannelRealization,
     The grid is ``freq_points`` >= 2 frequencies on [-bandwidth/2, +bandwidth/2];
     zero bandwidth degenerates to the center-frequency power.
     """
+    freq_points = _integer("freq_points", freq_points)
     if freq_points < 2:
         raise ValueError("freq_points must be >= 2")
     if not 0 <= bandwidth < math.inf:             # also rejects NaN

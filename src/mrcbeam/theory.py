@@ -12,7 +12,6 @@ quadrature (`exact_array_parameter`) or estimated by Monte Carlo
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .beams import steering_matrix
 from .channel import _slices
 # phase_matrix is not called here; imported only for perfbench/tracing.py to wrap.
-from .geometry import AntennaArray, FieldOfView, phase_matrix
+from .geometry import AntennaArray, FieldOfView, _integer, phase_matrix
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -48,7 +47,6 @@ _HALF_WEIGHTS = np.array([
 _GAUSS_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
 _GAUSS_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
 _MAX_PANELS = 1 << 14        # bounds the work: about 0.5M nodes
-_PANEL_BLOCK = 128           # panels evaluated at once, which bounds the memory
 _CONFIRM_REL = 1e-13
 
 
@@ -142,13 +140,14 @@ def exact_array_parameter(array: AntennaArray, fov: FieldOfView) -> float:
     return s
 
 
-def _panel_nodes(fov: FieldOfView, panels: int):
+def _panel_nodes(fov: FieldOfView, panels: int, entries: int):
     """Nodes theta and weights w of ``panels`` equal 32-node Gauss-Legendre panels over
-    the field of view, `_PANEL_BLOCK` panels at a time; w is the uniform angle density's."""
+    the field of view, a `channel._slices` slice of panels at a time for a form that holds
+    ``entries`` values per node; w is the uniform angle density's."""
     width = 2.0 * fov.half_angle / panels
     weights = _GAUSS_WEIGHTS / (2 * panels)
-    for lo in range(0, panels, _PANEL_BLOCK):
-        starts = -fov.half_angle + width * np.arange(lo, min(lo + _PANEL_BLOCK, panels))
+    for part in _slices(panels, _GAUSS_NODES.size * entries):
+        starts = -fov.half_angle + width * np.arange(part.start, part.stop)
         yield (np.add.outer(starts, width * (_GAUSS_NODES + 1.0) / 2.0).ravel(),
                np.tile(weights, starts.size))
 
@@ -156,13 +155,13 @@ def _panel_nodes(fov: FieldOfView, panels: int):
 def _array_parameter_by_panels(array: AntennaArray, fov: FieldOfView, panels: int) -> float:
     """s from ``panels`` equal 32-node Gauss-Legendre panels over the field of view.
 
-    Accumulates Phi = (A * w) @ A^H block by block, A being the (N, Q)
+    Accumulates Phi = (A * w) @ A^H slice by slice, A being the (N, Q)
     plane-wave phasors at the nodes and w the node weights of the uniform
-    angle density: O(N^2 Q) for any array.
+    angle density: O(N^2 Q) for any array, N phasors held per node.
     """
     n = array.n_elements
     phi = np.zeros((n, n), dtype=complex)
-    for theta, w in _panel_nodes(fov, panels):
+    for theta, w in _panel_nodes(fov, panels, n):
         a = steering_matrix(array, fov.direction_at(theta))             # (N, Q)
         phi += (a * w) @ a.conj().T
     return float(np.sum(phi.real ** 2 + phi.imag ** 2)) / n ** 2
@@ -180,7 +179,7 @@ def _array_parameter_by_lags(n: int, spacing: float, fov: FieldOfView, panels: i
     coarse_lags = np.arange(0, n, fine) * spacing                   # a B d, (A,)
     fine_lags = np.arange(fine) * spacing                           # b d, (B,)
     moments = np.zeros((coarse_lags.size, fine))
-    for theta, w in _panel_nodes(fov, panels):
+    for theta, w in _panel_nodes(fov, panels, coarse_lags.size + fine):
         kx = np.sin(theta)
         coarse = 2.0 * np.pi * np.multiply.outer(coarse_lags, kx)     # (A, Q)
         fine_phase = 2.0 * np.pi * np.multiply.outer(fine_lags, kx)   # (B, Q)
@@ -256,16 +255,6 @@ def harmonic_number(m: int) -> float:
 def to_db(linear: float) -> float:
     """Linear power ratio to decibels."""
     return float(10.0 * np.log10(linear))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; refuses a bool, a float or any other non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)                # numpy integers too
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _interference_power(m_paths: int, s: float) -> float:

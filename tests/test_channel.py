@@ -451,7 +451,7 @@ class TestRemoveComponent:
         with pytest.raises(ValueError):
             remove_component(ch2, -1)
         for index in (1.5, True):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="index must be an integer"):
                 remove_component(ch2, index)
         assert remove_component(ch2, np.int64(1)).m_paths == 1
 

@@ -259,6 +259,20 @@ class TestBadInput:
         _fails_with_one_error_line(["snr-sweep", "--elements", "2", "--m-max", "2",
                                     "--trials", "3", "--freq-points", "8", *flags], capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["array-param", "--samples", "10"],
+        ["ineffectiveness", "--m-max", "2", "--trials", "3"],
+        ["snr-sweep", "--m-max", "2", "--trials", "3", "--freq-points", "8"],
+        ["blockage-cdf", "--m-paths", "2", "--trials", "3", "--freq-points", "8"],
+        ["dump-channel"],
+    ])
+    @pytest.mark.parametrize("fov_deg", ["400", "-10", "nan"])
+    def test_bad_fov_names_the_flag(self, argv, fov_deg, capsys):
+        # the half angle in radians was reported, for a flag given in degrees
+        line = _fails_with_one_error_line([*argv, "--fov-deg", fov_deg], capsys)
+        assert line == (f"mrcbeam: error: fov_deg must be in [0, 180] degrees, "
+                        f"got {float(fov_deg)}")
+
     @pytest.mark.parametrize("record", [
         [1],                                                   # top level not an object
         {},                                                    # no components

@@ -108,6 +108,13 @@ class TestAntennaArray:
             assert np.array_equal(clone.positions, arr.positions)
             assert clone.ula_spacing == 0.5
 
+    def test_equality_and_hash_are_identity(self):
+        # generated field equality compared the positions arrays and raised
+        a, b = make_ula(4, 0.5), make_ula(4, 0.5)
+        assert a == a and a != b and a in [a] and b not in [a]
+        assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
+        assert np.array_equal(a.positions, b.positions)
+
     def test_ula_spacing_only_for_an_exact_line(self):
         line = make_ula(5, 0.5)
         assert line.ula_spacing == 0.5
@@ -179,6 +186,13 @@ class TestFieldOfView:
 
     def test_from_degrees(self):
         assert FieldOfView.from_degrees(120).half_angle == pytest.approx(np.pi / 3)
+        assert FieldOfView.from_degrees(180).half_angle == np.pi / 2
+        assert FieldOfView.from_degrees(0).half_angle == 0.0
+
+    @pytest.mark.parametrize("fov_deg", [400.0, 180.0001, -1.0, np.nan, np.inf])
+    def test_from_degrees_names_the_total_angle(self, fov_deg):
+        with pytest.raises(ValueError, match=r"^fov_deg must be in \[0, 180\] degrees, got "):
+            FieldOfView.from_degrees(fov_deg)
 
     def test_from_degrees_directions_unchanged_to_the_byte(self):
         # cos(theta) [0, 1, 0] + sin(theta) [1, 0, 0], with the signs of zero that sum gives

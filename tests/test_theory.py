@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 import mrcbeam.channel
-from mrcbeam import (EULER_GAMMA, AntennaArray, FieldOfView,
+from mrcbeam import (EULER_GAMMA, AntennaArray, FieldOfView, band_average_gain,
                      conditional_ineffectiveness, effective_count,
                      estimate_array_parameter, exact_array_parameter, harmonic_number,
-                     ineffectiveness_probability, make_ula, snr_mrc_theory,
-                     snr_ratio_theory, snr_single_theory, to_db)
+                     ineffectiveness_probability, interference_term, make_ula, mrc_weights,
+                     remove_component, sample_channel, snr_mrc_theory, snr_ratio_theory,
+                     snr_single_theory, to_db, trial_rng)
 from mrcbeam import theory
+from mrcbeam.channel import even_grid
 
 FOV180 = FieldOfView.from_degrees(180)
 
@@ -213,7 +216,7 @@ class TestExactArrayParameter:
         coarse_lags = np.arange(0, n, fine).astype(ld) * ld(0.5)
         fine_lags = np.arange(fine).astype(ld) * ld(0.5)
         moments = np.zeros((coarse_lags.size, fine), dtype=ld)
-        for theta, w in theory._panel_nodes(fov, panels):
+        for theta, w in theory._panel_nodes(fov, panels, coarse_lags.size + fine):
             kx, w = np.sin(theta.astype(ld)), w.astype(ld)
             coarse = two_pi * np.multiply.outer(coarse_lags, kx)
             fine_phase = two_pi * np.multiply.outer(fine_lags, kx)
@@ -223,6 +226,31 @@ class TestExactArrayParameter:
         oracle = (n * c[0] ** 2 + 2 * np.sum((n - np.arange(1, n)) * c[1:] ** 2)) / ld(n) ** 2
         got = theory._array_parameter_by_lags(n, 0.5, fov, panels)
         assert abs(ld(got) - oracle) <= 2 * n * np.finfo(float).eps * oracle
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 32, 64])
+    @pytest.mark.parametrize("fov_deg", [60, 120, 180])
+    def test_small_lines_fit_in_one_slice(self, n, fov_deg, monkeypatch):
+        # a slice as large as the whole rule changes no byte of s up to 64 elements
+        array, fov = make_ula(n, 0.5), FieldOfView.from_degrees(fov_deg)
+        sliced = exact_array_parameter(array, fov)
+        monkeypatch.setattr(mrcbeam.channel, "_KERNEL_SLICE", 1 << 40)
+        assert exact_array_parameter(array, fov) == sliced
+
+    def test_pair_form_memory_is_bounded_by_the_slice_budget(self):
+        # At N = 64 a slice is 16 panels of (N, 512) phasors, 2^15 of them; the form holds
+        # them, their weighted copy and their conjugate. 128 panels at once took 12 MiB.
+        line = make_ula(64, 0.5)
+        nudged = line.positions.copy()
+        nudged[-1, 0] += 1e-12
+        array = AntennaArray(nudged)
+        s = theory._array_parameter_by_panels(array, FOV180, 128)
+        tracemalloc.start()
+        try:
+            assert theory._array_parameter_by_panels(array, FOV180, 128) == s
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * mrcbeam.channel._KERNEL_SLICE
 
     def test_only_an_exact_line_takes_the_lag_form(self, monkeypatch):
         # which arrays are exact lines is tested on AntennaArray.ula_spacing
@@ -435,10 +463,44 @@ class TestPathCountCheck:
         assert CLOSED_FORMS_IN_M[name](np.int64(6)) == CLOSED_FORMS_IN_M[name](6)
 
 
+_CHANNEL = sample_channel(3, FOV180, 1e-7, np.random.default_rng(1))
+
+# (argument name, call with that argument set to the value, giving an array or a number)
+# for every count and index beyond those of the closed forms
+INTEGER_ARGUMENTS = {
+    "make_ula": ("n_elements", lambda n: make_ula(n, 0.5).positions),
+    "sample_channel": ("m_paths", lambda m: sample_channel(
+        m, FOV180, 1e-7, np.random.default_rng(2)).direction_matrix()),
+    "sample_channel-block": ("m_paths", lambda m: sample_channel(
+        m, FOV180, 1e-7, [np.random.default_rng(2), np.random.default_rng(3)])[1]),
+    "remove_component": ("index", lambda i: remove_component(_CHANNEL, i).amplitudes()),
+    "interference_term": ("h", lambda h: interference_term(_CHANNEL, make_ula(4, 0.5), h)),
+    "even_grid": ("n", lambda n: even_grid(-1.0, 1.0, n).tone_sum(np.ones(1), np.ones(1))),
+    "band_average_gain": ("freq_points", lambda f: band_average_gain(
+        mrc_weights(_CHANNEL, make_ula(4, 0.5)), _CHANNEL, make_ula(4, 0.5), 1e9, f)),
+    "trial_rng-seed": ("seed", lambda seed: trial_rng(seed, (1, 2)).random(4)),
+    "trial_rng-index": ("trial_index", lambda t: trial_rng(5, t).random(4)),
+    "trial_rng-index-element": ("trial_index", lambda t: trial_rng(5, (1, t)).random(4)),
+}
+
+
 class TestIntegerArguments:
-    """Element, path and sample counts are checked by `theory._integer`."""
+    """Every count and index is checked by `geometry._integer`."""
 
     BAD = [2.5, 8.0, True, np.True_, "8", None]
+
+    @pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+    @pytest.mark.parametrize("bad", [*BAD, 2.9])     # trial_rng once drew stream 2 for 2.9
+    def test_non_integer_refused_by_name(self, call, bad):
+        name, fn = INTEGER_ARGUMENTS[call]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            fn(bad)
+
+    @pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_gives_the_same_result(self, call, kind):
+        fn = INTEGER_ARGUMENTS[call][1]
+        assert np.array_equal(fn(kind(2)), fn(2))
 
     @pytest.mark.parametrize("n", BAD)
     def test_snr_mrc_theory_element_count(self, n):
