@@ -290,7 +290,7 @@ def main(argv=None) -> int:
         # for SIGPIPE, standard output pointed at devnull so that the exit's flush is too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"mrcbeam: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

@@ -41,10 +41,10 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 class ExperimentConfig:
     """All knobs of a reproducible experiment.
 
-    At most `MAX_PATHS` paths, `MAX_FREQ_POINTS` frequency points,
-    `MAX_WORKERS` workers and `MAX_TRIALS` trials over all path counts;
-    `make_ula` bounds the element count. Counts and the seed are stored as Python ints:
-    numpy integers are accepted, and a float or a bool is refused.
+    At most `MAX_PATHS` paths, `MAX_FREQ_POINTS` frequency points, `MAX_WORKERS` workers and
+    `MAX_TRIALS` trials over all path counts; the geometry is built once here, so `make_ula`
+    and `FieldOfView.from_degrees` refuse it at construction. Counts and the seed are stored
+    as Python ints: numpy integers are accepted, and a float or a bool is refused.
     """
 
     n_elements: int
@@ -63,8 +63,6 @@ class ExperimentConfig:
         for name in ("n_elements", "trials", "freq_points", "seed", "workers"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "m_values", tuple(_integer("m_values", m) for m in self.m_values))
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
         if not self.m_values or any(not 1 <= m <= MAX_PATHS for m in self.m_values):
             raise ValueError(f"m_values must be a non-empty list of integers in [1, {MAX_PATHS}]")
         if self.trials < 1:
@@ -78,12 +76,14 @@ class ExperimentConfig:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
         if not 0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if not 0 < self.delay_max_s < math.inf:
-            raise ValueError(f"delay_max_ns must be positive and finite, got {self.delay_max_ns}")
+        if not 0 < self.delay_max_s < math.inf:     # a positive ns can still be 0 s
+            raise ValueError(f"delay_max_ns must be positive and finite and not underflow to "
+                             f"0 s, got {self.delay_max_ns}")
         if not math.isfinite(math.pi * self.bandwidth_hz * self.delay_max_s):
             raise ValueError(f"delay_max_ns {self.delay_max_ns} is too large: tone phases overflow")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
+        self.array(), self.fov()    # their builders check the geometry; neither is kept
 
     def array(self) -> AntennaArray:
         return make_ula(self.n_elements, self.spacing_wavelengths)
@@ -294,16 +294,16 @@ def _blockage_block(cfg: ExperimentConfig, block) -> np.ndarray:
     return out
 
 
-def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarray]:
-    """(trials, 2) results of ``block_fn(cfg, block)`` for every m, in trial order.
+def _run_trials(block_fn, cfg: ExperimentConfig) -> np.ndarray:
+    """(len(m_values), trials, k) results of ``block_fn(cfg, block)``, in m and trial order.
 
     Trials run in fixed blocks, serially or on a process pool in which every
     worker gets at least two blocks: a block costs less than starting a worker,
-    so runs of fewer than four blocks stay in process. The blocks are put back
-    together in trial order either way.
+    so runs of fewer than four blocks stay in process. The blocks are listed m by m,
+    each m's in trial order, so their (t, k) outputs join in one pass either way.
     """
     blocks = [(m, lo, min(lo + _TRIAL_BLOCK, cfg.trials))
-              for m in m_values for lo in range(0, cfg.trials, _TRIAL_BLOCK)]
+              for m in cfg.m_values for lo in range(0, cfg.trials, _TRIAL_BLOCK)]
     fn = functools.partial(block_fn, cfg)
     workers = min(cfg.workers, len(blocks) // 2)
     if workers <= 1:
@@ -312,8 +312,7 @@ def _run_trials(block_fn, cfg: ExperimentConfig, m_values) -> dict[int, np.ndarr
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(fn, blocks))
-    return {m: np.concatenate([out for b, out in zip(blocks, outputs) if b[0] == m])
-            for m in m_values}
+    return np.concatenate(outputs).reshape(len(cfg.m_values), cfg.trials, -1)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -330,10 +329,9 @@ def run_effectiveness_sweep(cfg: ExperimentConfig) -> SweepResult:
     columns use the exact array parameter, so they do not depend on the seed.
     """
     s = exact_array_parameter(cfg.array(), cfg.fov())
-    results = _run_trials(_effectiveness_block, cfg, cfg.m_values)
+    results = _run_trials(_effectiveness_block, cfg)
     cols: dict[str, list[float]] = defaultdict(list)
-    for m in cfg.m_values:
-        fracs, counts = results[m].T
+    for m, (fracs, counts) in zip(cfg.m_values, results.transpose(0, 2, 1)):
         p_mean, p_err = _mean_stderr(fracs)
         c_mean, c_err = _mean_stderr(counts)
         cols["p_ineff_theory"].append(ineffectiveness_probability(m, s))
@@ -359,10 +357,9 @@ def run_snr_sweep(cfg: ExperimentConfig) -> SweepResult:
     """
     s = exact_array_parameter(cfg.array(), cfg.fov())
     noise_db = 20.0 * math.log10(cfg.sigma0)
-    results = _run_trials(_band_block, cfg, cfg.m_values)
+    results = _run_trials(_band_block, cfg)
     cols: dict[str, list[float]] = defaultdict(list)
-    for m in cfg.m_values:
-        mrc_lin, single_lin = results[m].T
+    for m, (mrc_lin, single_lin) in zip(cfg.m_values, results.transpose(0, 2, 1)):
         for prefix, lin, theory in (
                 ("mrc", mrc_lin, snr_mrc_theory(cfg.n_elements, m, s, 1.0)),
                 ("single", single_lin, snr_single_theory(cfg.n_elements, m, s, 1.0))):
@@ -385,16 +382,15 @@ def run_blockage_experiment(cfg: ExperimentConfig) -> SweepResult:
     """
     if len(cfg.m_values) != 1:
         raise ValueError("blockage experiment expects exactly one m value")
-    m = cfg.m_values[0]
-    if m < 2:
+    if cfg.m_values[0] < 2:
         raise ValueError("blockage experiment needs at least two paths")
     noise_db = 20.0 * math.log10(cfg.sigma0)
-    results = _run_trials(_blockage_block, cfg, (m,))
+    (result,) = _run_trials(_blockage_block, cfg)
     cols, samples = {}, {}
-    for kind, lin in zip(("mrc", "single"), results[m].T):
+    for kind, lin in zip(("mrc", "single"), result.T):
         snr_db = 10.0 * np.log10(lin) - noise_db
         mean, err = _mean_stderr(snr_db)
         cols[f"{kind}_mean_db"], cols[f"{kind}_stderr_db"] = (mean,), (err,)
         samples[kind] = np.sort(snr_db)
         samples[kind].flags.writeable = False
-    return SweepResult((m,), cfg.trials, cols, samples)
+    return SweepResult(cfg.m_values, cfg.trials, cols, samples)

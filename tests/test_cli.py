@@ -363,6 +363,15 @@ class TestBadInput:
         line = _fails_with_one_error_line([command, "--elements", "4", "--trials", "3"], capsys)
         assert line == f"mrcbeam: error: {exc.args[0] if exc.args else 'MemoryError'}"
 
+    def test_program_fault_is_not_reported_as_bad_input(self, monkeypatch):
+        # no bad input raises KeyError, so one from inside a command is a fault of the
+        # program: it propagates rather than printing one error line with exit code 1
+        def failing(cfg):
+            raise KeyError("x")
+        monkeypatch.setattr(mrcbeam.cli, "run_snr_sweep", failing)
+        with pytest.raises(KeyError):
+            main(["snr-sweep", "--elements", "4", "--trials", "3"])
+
     def test_control_component_is_accepted(self, tmp_path):
         path = tmp_path / "ch.json"
         path.write_text(json.dumps({"components": [_GOOD_COMPONENT]}))

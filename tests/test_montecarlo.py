@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from mrcbeam.beams import steering_matrix
 from mrcbeam.channel import _slices
 from mrcbeam.montecarlo import (MAX_TRIALS, MAX_WORKERS, SweepResult, _band_block,
                                 _block_pools, _block_streams, _blockage_block,
-                                _effectiveness_block, _words)
+                                _effectiveness_block, _run_trials, _words)
 
 # Reference 1000-trial simulation marks for half-wavelength line arrays with
 # a 180 degree field of view, M = 1..15 (same data set as the theory curves
@@ -66,36 +67,57 @@ class TestConfig:
         assert cfg.freq_points == 1024
         assert cfg.sigma0 == 1.0
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(n_elements=0, m_values=(1,)),
-        dict(n_elements=8, m_values=()),
-        dict(n_elements=8, m_values=(0,)),
-        dict(n_elements=8, m_values=(2,), trials=0),
-        dict(n_elements=8, m_values=(2,), freq_points=1),
-        dict(n_elements=8, m_values=(2,), bandwidth_hz=0.0),
-        dict(n_elements=8, m_values=(2,), bandwidth_hz=float("inf")),
-        dict(n_elements=8, m_values=(2,), bandwidth_hz=float("nan")),
-        dict(n_elements=8, m_values=(2,), sigma0=0.0),
-        dict(n_elements=8, m_values=(2,), sigma0=-1.0),
-        dict(n_elements=8, m_values=(2,), sigma0=float("inf")),
-        dict(n_elements=8, m_values=(2,), sigma0=float("nan")),
-        dict(n_elements=8, m_values=(2,), workers=0),
-        dict(n_elements=8, m_values=(2,), delay_max_ns=0.0),
-        dict(n_elements=8, m_values=(2,), delay_max_ns=-1.0),
-        dict(n_elements=8, m_values=(2,), delay_max_ns=float("inf")),
-        dict(n_elements=8, m_values=(2,), delay_max_ns=float("nan")),
-        dict(n_elements=8, m_values=(2,), delay_max_ns=5e-324),     # 0 s after conversion
-        dict(n_elements=8, m_values=(2,), delay_max_ns=1e308),      # tone phases overflow
-        dict(n_elements=8, m_values=(2, 4097)),                     # past the size limits
-        dict(n_elements=8, m_values=(2,), freq_points=(1 << 20) + 1),
-        dict(n_elements=8, m_values=(2,), workers=MAX_WORKERS + 1),
-        dict(n_elements=8, m_values=(2,), trials=MAX_TRIALS + 1),
-        dict(n_elements=8, m_values=(1, 2), trials=MAX_TRIALS // 2 + 1),
-        dict(n_elements=8, m_values=(2,), trials=10**15, workers=10**15),
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_elements=8, m_values=()), "m_values must be a non-empty list"),
+        (dict(n_elements=8, m_values=(0,)), "m_values must be a non-empty list"),
+        (dict(n_elements=8, m_values=(2,), trials=0), "trials must be >= 1"),
+        (dict(n_elements=8, m_values=(2,), freq_points=1), "freq_points must be in"),
+        (dict(n_elements=8, m_values=(2,), bandwidth_hz=0.0), "bandwidth must be positive"),
+        (dict(n_elements=8, m_values=(2,), bandwidth_hz=float("inf")), "bandwidth must be"),
+        (dict(n_elements=8, m_values=(2,), bandwidth_hz=float("nan")), "bandwidth must be"),
+        (dict(n_elements=8, m_values=(2,), sigma0=0.0), "sigma0 must be positive"),
+        (dict(n_elements=8, m_values=(2,), sigma0=-1.0), "sigma0 must be positive"),
+        (dict(n_elements=8, m_values=(2,), sigma0=float("inf")), "sigma0 must be positive"),
+        (dict(n_elements=8, m_values=(2,), sigma0=float("nan")), "sigma0 must be positive"),
+        (dict(n_elements=8, m_values=(2,), workers=0), "workers must be in"),
+        (dict(n_elements=8, m_values=(2,), delay_max_ns=0.0), "delay_max_ns must be positive"),
+        (dict(n_elements=8, m_values=(2,), delay_max_ns=-1.0), "delay_max_ns must be positive"),
+        (dict(n_elements=8, m_values=(2,), delay_max_ns=float("inf")), "delay_max_ns must be"),
+        (dict(n_elements=8, m_values=(2,), delay_max_ns=float("nan")), "delay_max_ns must be"),
+        # positive and finite, but 0 s after the conversion from ns
+        (dict(n_elements=8, m_values=(2,), delay_max_ns=5e-324),
+         "^delay_max_ns must be positive and finite and not underflow to 0 s, got 5e-324$"),
+        (dict(n_elements=8, m_values=(2,), delay_max_ns=1e308), "tone phases overflow"),
+        (dict(n_elements=8, m_values=(2, 4097)), "m_values must be"),   # past the size limits
+        (dict(n_elements=8, m_values=(2,), freq_points=(1 << 20) + 1), "freq_points must be"),
+        (dict(n_elements=8, m_values=(2,), workers=MAX_WORKERS + 1), "workers must be in"),
+        (dict(n_elements=8, m_values=(2,), trials=MAX_TRIALS + 1), "trials times path counts"),
+        (dict(n_elements=8, m_values=(1, 2), trials=MAX_TRIALS // 2 + 1), "trials times"),
+        (dict(n_elements=8, m_values=(2,), trials=10**15, workers=10**15), "trials times"),
+        # the geometry, refused by `make_ula` and `FieldOfView.from_degrees` when the
+        # config builds it once
+        (dict(n_elements=0, m_values=(1,)), r"^n_elements must be in \[1, 4096\], got 0$"),
+        (dict(n_elements=4097, m_values=(1,)), r"^n_elements must be in \[1, 4096\], got 4097$"),
+        *[(dict(n_elements=8, m_values=(2,), spacing_wavelengths=spacing),
+           f"^spacing must be positive and finite, got {spacing}$")
+          for spacing in (0.0, -1.0, float("inf"), float("nan"))],
+        (dict(n_elements=8, m_values=(2,), spacing_wavelengths=1e308), "^array aperture"),
+        *[(dict(n_elements=8, m_values=(2,), fov_deg=fov_deg),
+           rf"^fov_deg must be in \[0, 180\] degrees, got {fov_deg}$")
+          for fov_deg in (400.0, -1.0, float("nan"))],
+        (dict(n_elements=10**6, m_values=(2,), fov_deg=400.0, spacing_wavelengths=-1.0),
+         "^n_elements must be in"),
     ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    def test_geometry_is_not_kept(self):
+        # the config is pickled into every pool task; at N = 4,096 the positions alone
+        # are 98 KB
+        cfg = ExperimentConfig(n_elements=4096, m_values=(2,))
+        assert len(pickle.dumps(cfg)) < 1000
+        assert cfg.array() is not cfg.array()
 
     @pytest.mark.parametrize("field", ["m_values", "n_elements", "trials", "freq_points",
                                        "seed", "workers"])
@@ -549,6 +571,24 @@ class TestTrialSlices:
 def _pair_gain(arr, ch, m, h):
     from mrcbeam import component_array_factor
     return component_array_factor(arr, _direction(ch, m), _direction(ch, h))
+
+
+class TestReassembly:
+    # 300 trials are a 256-trial block and a 44-trial block per path count; three
+    # path counts make six blocks, so two workers start a pool
+    CFG = ExperimentConfig(n_elements=4, m_values=(1, 3, 2), trials=300, seed=13,
+                           freq_points=8)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kernel", [_effectiveness_block, _band_block, _blockage_block])
+    def test_each_path_count_is_its_own_run(self, kernel, workers):
+        cfg = dataclasses.replace(self.CFG, workers=workers)
+        whole = _run_trials(kernel, cfg)
+        assert whole.shape == (3, 300, 2)
+        for i, m in enumerate(cfg.m_values):
+            alone = _run_trials(kernel, dataclasses.replace(cfg, m_values=(m,)))
+            assert alone.shape == (1, 300, 2)
+            assert whole[i].tobytes() == alone[0].tobytes()
 
 
 class TestDeterminism:

@@ -17,7 +17,7 @@ def test_kernels_match_the_oracle(cfg):
     trials = [oracle.Trial(cfg, t) for t in range(cfg.trials)]
 
     def run(block_fn):
-        return montecarlo._run_trials(block_fn, cfg, cfg.m_values)[m]
+        return montecarlo._run_trials(block_fn, cfg)[0]
 
     fractions, counts = run(montecarlo._effectiveness_block).T
     sure, close = np.array([trial.effectiveness() for trial in trials]).T

@@ -159,6 +159,16 @@ class TestExactArrayParameter:
         got = exact_array_parameter(make_ula(n, 0.5), FieldOfView.from_degrees(fov_deg))
         assert got == pytest.approx(oracle, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n,spacing", [(2, 0.5), (64, 0.5), (1024, 0.5), (4096, 0.5),
+                                           (300, 1.0), (16, 2.0)])
+    def test_line_matches_bessel_oracle(self, n, spacing):
+        # over a 180 degree field of view the lag-l moment E[cos(2 pi l d sin t)] is
+        # J0(2 pi l d), so s = N^-2 [N + 2 sum_l (N - l) J0(2 pi l d)^2] in closed form
+        lags = np.arange(1, n)
+        oracle = (n + 2.0 * np.sum((n - lags) * special.j0(2 * np.pi * lags * spacing) ** 2))
+        got = exact_array_parameter(make_ula(n, spacing), FOV180)
+        assert got == pytest.approx(oracle / n ** 2, rel=1e-13, abs=0)
+
     def test_tabulated_rule_is_numpys_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(32)
         assert theory._GAUSS_NODES.tobytes() == nodes.tobytes()
